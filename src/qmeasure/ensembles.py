@@ -27,7 +27,7 @@ from .core import (
 )
 from .errors import EfficiencyFailure, ZeroSum
 
-# Rejection-sampled ensembles (Bures, beta=4) are only viable for small
+# Bures spectra are rejection-sampled, which is only viable for small
 # dimension; the acceptance probability collapses super-exponentially with n.
 REJECTION_MAX_DIM = 6
 
@@ -61,6 +61,8 @@ class Induced:
 
     beta=2 is the complex (unitary) symmetry class; k=n reproduces the
     Hilbert-Schmidt measure. beta=1 is the real class, beta=4 symplectic.
+    Every (n, k, beta) is sampled exactly by one beta-Laguerre bidiagonal
+    model; for k < n the trailing n - k eigenvalues are exactly zero.
     """
 
     n: int
@@ -247,22 +249,7 @@ def product_measure_density_matrix(n: int, s: float, stream: RandomStream) -> De
 def bures_acceptance_probability(lam) -> float:
     """Acceptance ratio prod_{i<j} (l_i - l_j)^2 / (l_i + l_j) of the Bures
     rejection step; always in [0, 1] on the simplex."""
-    lam = np.asarray(lam, dtype=np.float64)
-    acc = 1.0
-    for i in range(lam.size):
-        for j in range(i + 1, lam.size):
-            acc *= (lam[i] - lam[j]) ** 2 / (lam[i] + lam[j])
-    return float(acc)
-
-
-def vandermonde_acceptance_probability(lam, beta: int) -> float:
-    """Acceptance ratio prod_{i<j} |l_i - l_j|^beta used by the beta=4 route."""
-    lam = np.asarray(lam, dtype=np.float64)
-    acc = 1.0
-    for i in range(lam.size):
-        for j in range(i + 1, lam.size):
-            acc *= abs(lam[i] - lam[j]) ** beta
-    return float(acc)
+    return float(_pairwise_acceptance(np.asarray(lam, dtype=np.float64)[None, :])[0])
 
 
 def bures_spectrum(n: int, stream: RandomStream) -> Spectrum:
@@ -280,23 +267,13 @@ def bures_density_matrix(n: int, stream: RandomStream) -> DensityMatrix:
 
 
 def beta_spectrum(n: int, k: int, beta: int, stream: RandomStream) -> Spectrum:
-    """Induced-measure spectrum for symmetry class beta in {1, 2, 4}.
-
-    beta=1 and beta=2 go through the Gaussian matrix construction; beta=4
-    is sampled by rejection from a Dirichlet envelope with acceptance
-    prod |l_i - l_j|^beta (no matrix construction is attempted).
-    """
+    """Induced-measure spectrum for symmetry class beta in {1, 2, 4}, drawn
+    from the same beta-Laguerre bidiagonal engine as :func:`sample_spectra`."""
     if not 1 <= n <= k:
         raise ValueError(f"need k >= n >= 1, got n={n}, k={k}")
-    if beta in (1, 2):
-        lam = _wishart_spectra(n, k, beta, 1, stream.rng)[0]
-        return Spectrum(lam)
-    if beta == 4:
-        if n > REJECTION_MAX_DIM:
-            raise ValueError(f"beta=4 sampling capped at n <= {REJECTION_MAX_DIM}")
-        lam = _beta4_rows(n, k, 1, stream.rng)[0]
-        return Spectrum(lam)
-    raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
+    if beta not in (1, 2, 4):
+        raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
+    return Spectrum(_laguerre_spectra(n, k, beta, 1, stream.rng)[0])
 
 
 def rescale_to_simplex(values) -> Spectrum:
@@ -312,16 +289,17 @@ def rescale_to_simplex(values) -> Spectrum:
 
 def sample_spectra(measure: MeasureSpec, count: int, stream: RandomStream) -> np.ndarray:
     """Draw ``count`` spectra under ``measure`` as a (count, n) array, each row
-    sorted descending. This is the bulk engine behind the Monte Carlo layer."""
+    sorted descending. This is the bulk engine behind the Monte Carlo layer.
+
+    Induced spectra come from the beta-Laguerre bidiagonal model for every
+    beta, product-Dirichlet spectra from normalized Gamma variates, and Bures
+    spectra from rejection against a Dirichlet(1/2) envelope.
+    """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
     rng = stream.rng
     if isinstance(measure, Induced):
-        if measure.beta in (1, 2):
-            return _wishart_spectra(measure.n, measure.k, measure.beta, count, rng)
-        if measure.k < measure.n or measure.n > REJECTION_MAX_DIM:
-            raise ValueError("beta=4 requires k >= n and small dimension")
-        return _beta4_rows(measure.n, measure.k, count, rng)
+        return _laguerre_spectra(measure.n, measure.k, measure.beta, count, rng)
     if isinstance(measure, ProductDirichlet):
         lam = _dirichlet_rows(measure.n, measure.s, rng, count)
         return -np.sort(-lam, axis=1)
@@ -336,20 +314,37 @@ def sample_spectra(measure: MeasureSpec, count: int, stream: RandomStream) -> np
 _CHUNK_ENTRIES = 2 * 10**7
 
 
-def _wishart_spectra(n: int, k: int, beta: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Sorted spectra of A A^dag / tr(A A^dag) for Gaussian A, in batches."""
+def _laguerre_spectra(n: int, k: int, beta: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted, trace-normalized beta-Wishart spectra, in batches.
+
+    Dumitriu-Edelman model (arXiv:math-ph/0206043): B is lower bidiagonal
+    with diagonal chi_{beta k}, chi_{beta (k-1)}, ..., chi_{beta (k-n+1)} and
+    subdiagonal chi_{beta (n-1)}, ..., chi_beta, and the eigenvalues of the
+    tridiagonal T = B B^T have the n x k beta-Wishart law. For k < n the
+    nonzero eigenvalues are those of the k x n problem, padded with zeros.
+    """
+    if k < n:
+        out = np.zeros((count, n))
+        out[:, :k] = _laguerre_spectra(k, n, beta, count, rng)
+        return out
+    if n == 1:
+        return np.ones((count, 1))
+    diag_df = beta * (k - np.arange(n))
+    sub_df = beta * np.arange(n - 1, 0, -1)
+    i = np.arange(n)
     out = np.empty((count, n))
-    chunk = max(1, _CHUNK_ENTRIES // (n * k))
+    chunk = max(1, _CHUNK_ENTRIES // (n * n))
     done = 0
     while done < count:
         m = min(chunk, count - done)
-        if beta == 2:
-            z = rng.standard_normal((2, m, n, k))
-            a = z[0] + 1j * z[1]
-        else:
-            a = rng.standard_normal((m, n, k))
-        w = a @ np.conj(np.swapaxes(a, 1, 2))
-        ev = np.linalg.eigvalsh(w)
+        d2 = rng.chisquare(diag_df, size=(m, n))
+        e2 = rng.chisquare(sub_df, size=(m, n - 1))
+        # eigvalsh reads only the lower triangle, so the superdiagonal stays 0
+        t = np.zeros((m, n, n))
+        t[:, i, i] = d2
+        t[:, i[1:], i[1:]] += e2
+        t[:, i[1:], i[:-1]] = np.sqrt(d2[:, :-1] * e2)
+        ev = np.linalg.eigvalsh(t)
         ev = np.clip(ev, 0.0, None)
         ev /= ev.sum(axis=1, keepdims=True)
         out[done : done + m] = ev[:, ::-1]
@@ -369,27 +364,24 @@ def _dirichlet_rows(n: int, s: float, rng: np.random.Generator, count: int) -> n
     return lam / total[:, None]
 
 
-def _pairwise_acceptance(lam: np.ndarray, bures: bool, beta: int = 4) -> np.ndarray:
+def _pairwise_acceptance(lam: np.ndarray) -> np.ndarray:
+    """Row-wise Bures acceptance ratio prod_{i<j} (l_i - l_j)^2 / (l_i + l_j)."""
     acc = np.ones(lam.shape[0])
     for i in range(lam.shape[1]):
         for j in range(i + 1, lam.shape[1]):
-            diff = lam[:, i] - lam[:, j]
-            if bures:
-                acc *= diff**2 / (lam[:, i] + lam[:, j])
-            else:
-                acc *= np.abs(diff) ** beta
+            acc *= (lam[:, i] - lam[:, j]) ** 2 / (lam[:, i] + lam[:, j])
     return acc
 
 
-def _rejection_rows(n: int, count: int, rng: np.random.Generator, s: float, bures: bool,
-                    beta: int = 4) -> np.ndarray:
+def _rejection_rows(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Bures spectra by exact rejection from a Dirichlet(1/2) envelope."""
     out = np.empty((count, n))
     filled = 0
     dry = 0  # proposals since the last acceptance
     batch = 8192
     while filled < count:
-        lam = _dirichlet_rows(n, s, rng, batch)
-        acc = _pairwise_acceptance(lam, bures, beta)
+        lam = _dirichlet_rows(n, 0.5, rng, batch)
+        acc = _pairwise_acceptance(lam)
         keep = rng.random(batch) < acc
         taken = lam[keep]
         if taken.shape[0] == 0:
@@ -409,15 +401,7 @@ def _rejection_rows(n: int, count: int, rng: np.random.Generator, s: float, bure
 def _bures_rows(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     if n == 1:
         return np.ones((count, 1))
-    return _rejection_rows(n, count, rng, s=0.5, bures=True)
-
-
-def _beta4_rows(n: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    if n == 1:
-        return np.ones((count, 1))
-    # Dirichlet envelope exponent matching the beta=4 eigenvalue prefactor.
-    s = 4.0 * (k - n) / 2.0 + 2.0
-    return _rejection_rows(n, count, rng, s=s, bures=False, beta=4)
+    return _rejection_rows(n, count, rng)
 
 
 def _purification_spectra(n: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -180,7 +180,7 @@ def criterion_6(config: BatteryConfig) -> CriterionResult:
 
 
 def criterion_7(config: BatteryConfig) -> CriterionResult:
-    res = CriterionResult(7, "Ginibre projection vs purification route")
+    res = CriterionResult(7, "bidiagonal engine vs purification route")
     for sub, (n, k) in enumerate([(2, 2), (3, 4)]):
         direct = sample_spectra(Induced(n, k, 2), config.samples, _stream(config, 7, 2 * sub))
         purified = _purification_spectra(n, k, config.samples,

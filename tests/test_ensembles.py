@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeasure import (
     Bures,
@@ -29,7 +31,6 @@ from qmeasure.analytics import log_norm_constant, radial_cdf_n2
 from qmeasure.ensembles import (
     bures_acceptance_probability,
     hurwitz_angles,
-    vandermonde_acceptance_probability,
     _dirichlet_rows,
 )
 from qmeasure.errors import EfficiencyFailure, ZeroSum
@@ -295,17 +296,12 @@ def test_bures_acceptance_hand_values():
     assert bures_acceptance_probability([0.5, 0.5]) == 0.0
 
 
-def test_beta4_acceptance_hand_value():
-    assert vandermonde_acceptance_probability([0.9, 0.1], 4) == pytest.approx(0.4096)
-
-
 def test_acceptance_probabilities_bounded():
     rng = np.random.default_rng(0)
     for _ in range(200):
         g = rng.gamma(0.5, size=4)
         lam = g / g.sum()
         assert 0.0 <= bures_acceptance_probability(lam) <= 1.0
-        assert 0.0 <= vandermonde_acceptance_probability(lam, 4) <= 1.0
 
 
 def test_bures_radial_law():
@@ -371,10 +367,11 @@ def test_beta4_marginal_law():
     assert ks_test(spectra[:, 0], cdf).p_value > 0.01
 
 
-def test_beta_symmetry_in_n_and_k():
+@pytest.mark.parametrize("beta", [1, 2, 4])
+def test_beta_symmetry_in_n_and_k(beta):
     m = 15000
-    wide = sample_spectra(Induced(2, 3, 2), m, RandomStream(34, 0))
-    tall = sample_spectra(Induced(3, 2, 2), m, RandomStream(34, 1))
+    wide = sample_spectra(Induced(2, 3, beta), m, RandomStream(34, 0))
+    tall = sample_spectra(Induced(3, 2, beta), m, RandomStream(34, 1))
     assert np.allclose(tall[:, 2], 0.0, atol=1e-12)  # rank deficit
     assert two_sample_ks(wide[:, 0], tall[:, 0]).p_value > 0.01
     assert two_sample_ks(wide[:, 1], tall[:, 1]).p_value > 0.01
@@ -387,9 +384,38 @@ def test_beta_spectrum_validation():
         beta_spectrum(2, 2, 3, RandomStream(35, 1))  # bad beta
 
 
-def test_beta4_efficiency_failure():
-    with pytest.raises(EfficiencyFailure):
-        beta_spectrum(5, 5, 4, RandomStream(36, 0))
+def _assert_valid_rows(spectra, count, n):
+    assert spectra.shape == (count, n)
+    assert np.all(np.diff(spectra, axis=1) <= 0)
+    assert np.all(spectra >= 0)
+    assert np.allclose(spectra.sum(axis=1), 1.0, rtol=0.0, atol=1e-10)
+
+
+def test_beta4_samples_at_any_dimension():
+    for n, count in [(5, 200), (64, 20)]:
+        _assert_valid_rows(sample_spectra(Induced(n, n, 4), count, RandomStream(36, n)), count, n)
+    assert len(beta_spectrum(5, 5, 4, RandomStream(36, 0))) == 5
+
+
+def _quaternion_spectra(n, k, count, rng):
+    # A = [[Z1, Z2], [-conj(Z2), conj(Z1)]] is the 2n x 2k complex form of an
+    # n x k quaternion Gaussian matrix; A A^dag has every eigenvalue twice
+    # (Kramers pairs), so every other one is the quaternion spectrum.
+    z = rng.standard_normal((4, count, n, k))
+    z1, z2 = z[0] + 1j * z[1], z[2] + 1j * z[3]
+    a = np.block([[z1, z2], [-np.conj(z2), np.conj(z1)]])
+    ev = np.linalg.eigvalsh(a @ np.conj(np.swapaxes(a, 1, 2)))[:, ::-2]
+    ev = np.clip(ev, 0.0, None)
+    return ev / ev.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n, k", [(3, 4), (4, 4)])
+def test_beta4_matches_quaternion_construction(n, k):
+    m = 10000
+    engine = sample_spectra(Induced(n, k, 4), m, RandomStream(41, n))
+    oracle = _quaternion_spectra(n, k, m, RandomStream(41, 100 + n).rng)
+    for j in range(n):
+        assert two_sample_ks(engine[:, j], oracle[:, j]).p_value > 0.01
 
 
 # ---------------------------------------------------------------- rescaling
@@ -440,5 +466,18 @@ def test_measure_spec_validation():
         ProductDirichlet(2, 0.0)
     with pytest.raises(ValueError):
         Bures(7)
-    with pytest.raises(ValueError):
-        sample_spectra(Induced(3, 2, 4), 10, RandomStream(0, 0))  # beta=4 needs k >= n
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 8),
+    k=st.integers(1, 10),
+    beta=st.sampled_from([1, 2, 4]),
+    count=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_induced_rows_are_spectra(n, k, beta, count, seed):
+    spectra = sample_spectra(Induced(n, k, beta), count, RandomStream(seed, 0))
+    _assert_valid_rows(spectra, count, n)
+    if k < n:
+        assert np.all(spectra[:, k:] == 0.0)
