@@ -113,88 +113,64 @@ def joint_eigenvalue_density(lam, n: int, k: int, beta: int) -> float:
     return float(np.exp(log_dens))
 
 
-def bures_unnormalized_density(lam, n: int) -> float:
-    """prod_i l_i^(-1/2) * prod_{i<j} (l_i - l_j)^2 / (l_i + l_j); zero on
-    degenerate spectra, +inf on the simplex boundary."""
-    v = _lam_checked(lam, n)
+def _bures_log_density(v: np.ndarray, n: int) -> float:
     if n == 1:
-        return 1.0
+        return 0.0
     iu = np.triu_indices(n, 1)
     diffs = (v[:, None] - v[None, :])[iu]
     if np.any(diffs == 0.0):
-        return 0.0
+        return -math.inf
     if np.any(v == 0.0):
         return math.inf
     sums = (v[:, None] + v[None, :])[iu]
-    log_dens = -0.5 * np.sum(np.log(v)) + np.sum(2.0 * np.log(np.abs(diffs)) - np.log(sums))
-    return float(np.exp(log_dens))
+    return float(-0.5 * np.sum(np.log(v)) + np.sum(2.0 * np.log(np.abs(diffs)) - np.log(sums)))
 
 
-def _bures_angle_integrand_3(a: float, b: float) -> float:
-    # lam = (cos^2 a, sin^2 a cos^2 b, sin^2 a sin^2 b) maps [0, pi/2]^2 onto
-    # the simplex; the substitution absorbs the l^(-1/2) singularities into a
-    # smooth Jacobian 4 sin(a).
-    l1 = math.cos(a) ** 2
-    sa = math.sin(a) ** 2
-    l2 = sa * math.cos(b) ** 2
-    l3 = sa * math.sin(b) ** 2
-    prod = 1.0
-    for x, y in ((l1, l2), (l1, l3), (l2, l3)):
-        s = x + y
-        if s == 0.0:
-            return 0.0
-        prod *= (x - y) ** 2 / s
-    return 4.0 * math.sin(a) * prod
+def bures_unnormalized_density(lam, n: int) -> float:
+    """prod_i l_i^(-1/2) * prod_{i<j} (l_i - l_j)^2 / (l_i + l_j); zero on
+    degenerate spectra, +inf on the simplex boundary."""
+    return float(np.exp(_bures_log_density(_lam_checked(lam, n), n)))
 
 
-@lru_cache(maxsize=None)
-def bures_norm_constant(n: int) -> tuple[float, float]:
-    """Normalization constant of the Bures eigenvalue density, with the
-    standard error of the estimate (zero for the quadrature cases n <= 3).
+def log_bures_norm_constant(n: int) -> float:
+    """ln C_N of the Bures eigenvalue density, from the closed form
 
-    n <= 3 uses adaptive quadrature in angle coordinates; n = 4, 5 use Monte
-    Carlo integration over the Dirichlet(1/2) envelope with a fixed internal
-    seed, so the cached value is reproducible.
+        C_N = 2^(N^2 - N) Gamma(N^2/2) / (pi^(N/2) prod_{j=1}^N j!)
+
+    of Sommers and Zyczkowski (quant-ph/0304041), entirely in log space.
     """
-    if not 1 <= n <= 5:
-        raise DomainError(f"normalized Bures density available for n <= 5, got {n}")
-    if n == 1:
-        return 1.0, 0.0
-    if n == 2:
-        # integral of 2 cos^2(2a) over [0, pi/2]
-        val, err = integrate.quad(lambda a: 2.0 * math.cos(2 * a) ** 2, 0.0, math.pi / 2)
-        return 1.0 / val, 0.0
-    if n == 3:
-        val, err = integrate.dblquad(
-            _bures_angle_integrand_3, 0.0, math.pi / 2, 0.0, math.pi / 2,
-            epsabs=1e-12, epsrel=1e-12,
-        )
-        return 1.0 / val, 0.0
-    # Monte Carlo: integral = E_Dirichlet(1/2)[prod (l_i-l_j)^2/(l_i+l_j)] / alpha
-    # where alpha = Gamma(n/2) / pi^(n/2) normalizes the Dirichlet(1/2) envelope.
-    rng = np.random.Generator(np.random.Philox(key=np.array([0xB2E5, n], dtype=np.uint64)))
-    samples = 4_000_000
-    g = rng.gamma(0.5, 1.0, size=(samples, n))
-    lam = g / g.sum(axis=1, keepdims=True)
-    acc = np.ones(samples)
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc *= (lam[:, i] - lam[:, j]) ** 2 / (lam[:, i] + lam[:, j])
-    mean = acc.mean()
-    stderr = acc.std(ddof=1) / math.sqrt(samples)
-    log_alpha = log_gamma(n / 2.0) - (n / 2.0) * math.log(math.pi)
-    const = math.exp(log_alpha) / mean
-    return const, const * stderr / mean
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    total = (n * n - n) * math.log(2.0) + log_gamma(n * n / 2.0) - (n / 2.0) * math.log(math.pi)
+    for j in range(1, n + 1):
+        total -= log_gamma(j + 1.0)
+    return total
 
 
-def bures_joint_density(lam, n: int) -> tuple[float, float | None]:
-    """(unnormalized, normalized) Bures joint density; the normalized value is
-    None for n > 5 where no constant is tabulated."""
-    unnorm = bures_unnormalized_density(lam, n)
-    if n > 5:
-        return unnorm, None
-    const, _ = bures_norm_constant(n)
-    return unnorm, const * unnorm
+def bures_norm_constant(n: int) -> float:
+    """Normalization constant C_N of the Bures eigenvalue density: 2/pi,
+    35/pi and 71680/pi^2 for N = 2, 3, 4. From N = 20 on it exceeds the
+    double range; :func:`log_bures_norm_constant` covers every N."""
+    try:
+        return math.exp(log_bures_norm_constant(n))
+    except OverflowError:
+        raise DomainError(f"Bures constant overflows a double at n={n}") from None
+
+
+def bures_joint_density(lam, n: int) -> tuple[float, float]:
+    """(unnormalized, normalized) Bures joint density; the normalized value
+    adds ln C_N to the log density, so it is finite wherever it is
+    representable, at every n."""
+    log_dens = _bures_log_density(_lam_checked(lam, n), n)
+    return float(np.exp(log_dens)), float(np.exp(log_dens + log_bures_norm_constant(n)))
+
+
+def bures_purity_exact(n: int) -> float:
+    """<Tr rho^2> = (5n^2 + 1)/(2n(n^2 + 2)) under the Bures measure (Osipov,
+    Sommers and Zyczkowski, arXiv:0909.5094); 7/8 at n = 2."""
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    return (5.0 * n * n + 1.0) / (2.0 * n * (n * n + 2.0))
 
 
 @lru_cache(maxsize=None)

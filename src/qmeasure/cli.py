@@ -31,7 +31,7 @@ from .ensembles import (
     product_measure_density_matrix,
     sample_spectra,
 )
-from .errors import EfficiencyFailure, QMeasureError
+from .errors import QMeasureError
 from .stats import mc_estimate, participation_ratio, ternary_histogram
 from .verify import (
     DEFAULT_SAMPLES,
@@ -196,6 +196,9 @@ def _exact_value(measure: MeasureSpec, functional: str, nu: Optional[float]) -> 
             if functional == "concurrence":
                 return 3.0 * math.pi / 16.0
         return None
+    if isinstance(measure, Bures) and functional in ("purity", "participation_ratio"):
+        purity = analytics.bures_purity_exact(measure.n)
+        return purity if functional == "purity" else 1.0 / purity
     name = None
     if isinstance(measure, ProductDirichlet) and measure.n == 2:
         name = {1.0: "unitary", 0.5: "orthogonal"}.get(measure.s)
@@ -371,9 +374,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except EfficiencyFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (QMeasureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

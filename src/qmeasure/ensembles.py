@@ -25,15 +25,7 @@ from .core import (
     partial_trace,
     project_hs,
 )
-from .errors import EfficiencyFailure, ZeroSum
-
-# Bures spectra are rejection-sampled, which is only viable for small
-# dimension; the acceptance probability collapses super-exponentially with n.
-REJECTION_MAX_DIM = 6
-
-# Consecutive rejected proposals tolerated before declaring the sampler dead
-# (acceptance rate below 1e-6 over a one-million-proposal window).
-_REJECTION_WINDOW = 10**6
+from .errors import ZeroSum
 
 
 @dataclass
@@ -93,13 +85,14 @@ class ProductDirichlet:
 
 @dataclass(frozen=True)
 class Bures:
-    """Bures-metric measure, sampled at spectrum level by exact rejection."""
+    """Bures-metric measure, sampled exactly at any n: a closed form for
+    n = 2, the (1 + U) G construction of arXiv:0909.5094 above it."""
 
     n: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= REJECTION_MAX_DIM:
-            raise ValueError(f"need 1 <= n <= {REJECTION_MAX_DIM}, got {self.n}")
+        if self.n < 1:
+            raise ValueError(f"need n >= 1, got {self.n}")
 
 
 MeasureSpec = Union[Induced, ProductDirichlet, Bures]
@@ -124,15 +117,10 @@ def gaussian_matrix(rows: int, cols: int, beta: int, stream: RandomStream) -> np
 
 
 def haar_unitary(n: int, stream: RandomStream) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix.
-
-    Column j of Q is multiplied by the phase R_jj/|R_jj|, which makes the
-    R factor's diagonal positive and the Q factor exactly Haar.
-    """
-    a = gaussian_matrix(n, n, 2, stream)
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return _haar_unitaries(1, n, stream.rng)[0]
 
 
 @dataclass(frozen=True)
@@ -246,24 +234,19 @@ def product_measure_density_matrix(n: int, s: float, stream: RandomStream) -> De
     return DensityMatrix(0.5 * (w + w.conj().T))
 
 
-def bures_acceptance_probability(lam) -> float:
-    """Acceptance ratio prod_{i<j} (l_i - l_j)^2 / (l_i + l_j) of the Bures
-    rejection step; always in [0, 1] on the simplex."""
-    return float(_pairwise_acceptance(np.asarray(lam, dtype=np.float64)[None, :])[0])
-
-
 def bures_spectrum(n: int, stream: RandomStream) -> Spectrum:
-    """Spectrum under the Bures measure via exact rejection from Dirichlet(1/2)."""
-    lam = _bures_rows(n, 1, stream.rng)[0]
-    return Spectrum(lam)
+    """Spectrum under the Bures measure, drawn exactly by the same route as
+    :func:`sample_spectra`."""
+    return Spectrum(_bures_spectra(Bures(n).n, 1, stream.rng)[0])
 
 
 def bures_density_matrix(n: int, stream: RandomStream) -> DensityMatrix:
-    """Bures-distributed state: Bures spectrum conjugated by a Haar unitary."""
-    lam = bures_spectrum(n, stream)
+    """Bures-distributed state (1 + U) G G^dag (1 + U)^dag / tr(.), with U
+    Haar and G an n x n complex Ginibre matrix (Osipov, Sommers and
+    Zyczkowski, arXiv:0909.5094)."""
     u = haar_unitary(n, stream)
-    w = (u * lam.values) @ u.conj().T
-    return DensityMatrix(0.5 * (w + w.conj().T))
+    g = gaussian_matrix(n, n, 2, stream)
+    return project_hs((u + np.eye(n)) @ g)
 
 
 def beta_spectrum(n: int, k: int, beta: int, stream: RandomStream) -> Spectrum:
@@ -293,7 +276,8 @@ def sample_spectra(measure: MeasureSpec, count: int, stream: RandomStream) -> np
 
     Induced spectra come from the beta-Laguerre bidiagonal model for every
     beta, product-Dirichlet spectra from normalized Gamma variates, and Bures
-    spectra from rejection against a Dirichlet(1/2) envelope.
+    spectra from a closed form at n = 2 and the (1 + U) G construction above.
+    Every route is exact and rejection-free.
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
@@ -304,7 +288,7 @@ def sample_spectra(measure: MeasureSpec, count: int, stream: RandomStream) -> np
         lam = _dirichlet_rows(measure.n, measure.s, rng, count)
         return -np.sort(-lam, axis=1)
     if isinstance(measure, Bures):
-        return _bures_rows(measure.n, count, rng)
+        return _bures_spectra(measure.n, count, rng)
     raise TypeError(f"unknown measure spec: {measure!r}")
 
 
@@ -332,11 +316,8 @@ def _laguerre_spectra(n: int, k: int, beta: int, count: int, rng: np.random.Gene
     diag_df = beta * (k - np.arange(n))
     sub_df = beta * np.arange(n - 1, 0, -1)
     i = np.arange(n)
-    out = np.empty((count, n))
-    chunk = max(1, _CHUNK_ENTRIES // (n * n))
-    done = 0
-    while done < count:
-        m = min(chunk, count - done)
+
+    def eigvals(m: int) -> np.ndarray:
         d2 = rng.chisquare(diag_df, size=(m, n))
         e2 = rng.chisquare(sub_df, size=(m, n - 1))
         # eigvalsh reads only the lower triangle, so the superdiagonal stays 0
@@ -344,11 +325,21 @@ def _laguerre_spectra(n: int, k: int, beta: int, count: int, rng: np.random.Gene
         t[:, i, i] = d2
         t[:, i[1:], i[1:]] += e2
         t[:, i[1:], i[:-1]] = np.sqrt(d2[:, :-1] * e2)
-        ev = np.linalg.eigvalsh(t)
-        ev = np.clip(ev, 0.0, None)
+        return np.linalg.eigvalsh(t)
+
+    return _batched_spectra(n, count, max(1, _CHUNK_ENTRIES // (n * n)), eigvals)
+
+
+def _batched_spectra(n: int, count: int, chunk: int, eigvals) -> np.ndarray:
+    """(count, n) spectra from ``eigvals(m)``, the ascending eigenvalues of m
+    random matrices, called on chunks of at most ``chunk`` rows; each row is
+    clipped at 0, trace-normalized and reversed to descending order."""
+    out = np.empty((count, n))
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        ev = np.clip(eigvals(stop - start), 0.0, None)
         ev /= ev.sum(axis=1, keepdims=True)
-        out[done : done + m] = ev[:, ::-1]
-        done += m
+        out[start:stop] = ev[:, ::-1]
     return out
 
 
@@ -364,44 +355,46 @@ def _dirichlet_rows(n: int, s: float, rng: np.random.Generator, count: int) -> n
     return lam / total[:, None]
 
 
-def _pairwise_acceptance(lam: np.ndarray) -> np.ndarray:
-    """Row-wise Bures acceptance ratio prod_{i<j} (l_i - l_j)^2 / (l_i + l_j)."""
-    acc = np.ones(lam.shape[0])
-    for i in range(lam.shape[1]):
-        for j in range(i + 1, lam.shape[1]):
-            acc *= (lam[:, i] - lam[:, j]) ** 2 / (lam[:, i] + lam[:, j])
-    return acc
+def _haar_unitaries(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """m Haar unitaries of size n x n via batched QR of complex Gaussians.
+
+    Column j of each Q is multiplied by the phase R_jj/|R_jj|, which makes
+    the R factor's diagonal positive and the Q factor exactly Haar.
+    """
+    z = rng.standard_normal((2, m, n, n))
+    q, r = np.linalg.qr(z[0] + 1j * z[1])
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
-def _rejection_rows(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Bures spectra by exact rejection from a Dirichlet(1/2) envelope."""
-    out = np.empty((count, n))
-    filled = 0
-    dry = 0  # proposals since the last acceptance
-    batch = 8192
-    while filled < count:
-        lam = _dirichlet_rows(n, 0.5, rng, batch)
-        acc = _pairwise_acceptance(lam)
-        keep = rng.random(batch) < acc
-        taken = lam[keep]
-        if taken.shape[0] == 0:
-            dry += batch
-            if dry >= _REJECTION_WINDOW:
-                raise EfficiencyFailure(
-                    f"acceptance rate below 1e-6 over {dry} proposals (n={n})"
-                )
-            continue
-        dry = 0
-        m = min(taken.shape[0], count - filled)
-        out[filled : filled + m] = taken[:m]
-        filled += m
-    return -np.sort(-out, axis=1)
+def _bures_spectra(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted Bures spectra, in batches.
 
-
-def _bures_rows(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    n = 2: with z = (z_0, .., z_3) standard normal, s = |(z_1, z_2, z_3)| / |z|
+    is the sine of the polar angle of a uniform point of S^3, and
+    ((1 + s)/2, (1 - s)/2) has the Bures radial density
+    32 r^2 / (pi sqrt(1 - 4 r^2)) in r = s/2. n >= 3: eigenvalues of A A^dag
+    with A = (1 + U) G, U Haar and G complex Ginibre (arXiv:0909.5094).
+    """
     if n == 1:
         return np.ones((count, 1))
-    return _rejection_rows(n, count, rng)
+    if n == 2:
+        z2 = rng.standard_normal((count, 4)) ** 2
+        s = np.sqrt(z2[:, 1:].sum(axis=1) / z2.sum(axis=1))
+        return np.column_stack([0.5 * (1.0 + s), 0.5 * (1.0 - s)])
+    i = np.arange(n)
+
+    def eigvals(m: int) -> np.ndarray:
+        a = _haar_unitaries(m, n, rng)
+        a[:, i, i] += 1.0
+        z = rng.standard_normal((2, m, n, n))
+        a = a @ (z[0] + 1j * z[1])
+        return np.linalg.eigvalsh(a @ np.conj(np.swapaxes(a, 1, 2)))
+
+    # each complex n x n batch (Gaussians, Q, R, A, A A^dag) holds 16 bytes
+    # an entry, so a chunk of 1/8 the entries keeps the peak near that of
+    # _laguerre_spectra's one real batch
+    return _batched_spectra(n, count, max(1, _CHUNK_ENTRIES // (8 * n * n)), eigvals)
 
 
 def _purification_spectra(n: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -21,10 +21,6 @@ class NonConvergence(QMeasureError):
     """An iterative solver failed or left an unacceptable residual."""
 
 
-class EfficiencyFailure(QMeasureError):
-    """Rejection sampler acceptance rate dropped below the viability floor."""
-
-
 class DomainError(QMeasureError):
     """Argument lies outside the mathematical domain of the function."""
 

@@ -161,7 +161,7 @@ def criterion_5(config: BatteryConfig) -> CriterionResult:
 
 
 def criterion_6(config: BatteryConfig) -> CriterionResult:
-    res = CriterionResult(6, "N=2 reference means (unitary, orthogonal, Bures)")
+    res = CriterionResult(6, "N=2 reference means; Bures purity N=3..6")
     cases = [
         ("unitary", ProductDirichlet(2, 1.0)),
         ("orthogonal", ProductDirichlet(2, 0.5)),
@@ -176,6 +176,10 @@ def criterion_6(config: BatteryConfig) -> CriterionResult:
         ratio = 1.0 / mean_p
         ratio_err = err_p / (mean_p * mean_p)
         _zcheck(res, f"participation ratio, {name}", ratio, ratio_err, ref.participation)
+    for sub, n in enumerate(range(3, 7), start=len(cases)):
+        spectra = sample_spectra(Bures(n), config.samples, _stream(config, 6, sub))
+        mean, stderr = _mean_stderr(spectrum_functional(spectra, "purity"))
+        _zcheck(res, f"purity, Bures N={n}", mean, stderr, analytics.bures_purity_exact(n))
     return res
 
 
@@ -233,7 +237,7 @@ def criterion_8(config: BatteryConfig) -> CriterionResult:
         res.add(f"unit mass ({n},{k},beta={beta})", abs(mass - 1.0) <= 1e-6, mass=mass)
     mass33 = _simplex_mass_33()
     res.add("unit mass (3,3,beta=2)", abs(mass33 - 1.0) <= 1e-6, mass=mass33)
-    const, _ = analytics.bures_norm_constant(3)
+    const = analytics.bures_norm_constant(3)
     target = 35.0 / math.pi
     res.add("Bures N=3 constant vs 35/pi", abs(const - target) <= 0.02 * target,
             constant=const, target=target)

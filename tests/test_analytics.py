@@ -9,6 +9,7 @@ from qmeasure.analytics import (
     asymptotics,
     bures_joint_density,
     bures_norm_constant,
+    bures_purity_exact,
     bures_unnormalized_density,
     cpn_volume,
     entanglement_cdf_n2,
@@ -17,6 +18,7 @@ from qmeasure.analytics import (
     hs_moment_exact,
     hs_moment_quadrature,
     joint_eigenvalue_density,
+    log_bures_norm_constant,
     log_norm_constant,
     n2_reference_means,
     purity_induced_exact,
@@ -141,28 +143,90 @@ def test_bures_density_edge_cases():
 
 
 def test_bures_constants():
-    c2, err2 = bures_norm_constant(2)
-    assert c2 == pytest.approx(2.0 / np.pi, rel=1e-10)
-    assert err2 == 0.0
-    c3, _ = bures_norm_constant(3)
-    assert c3 == pytest.approx(35.0 / np.pi, rel=0.02)
+    assert bures_norm_constant(1) == pytest.approx(1.0, rel=1e-12)
+    assert bures_norm_constant(2) == pytest.approx(2.0 / np.pi, rel=1e-12)
+    assert bures_norm_constant(3) == pytest.approx(35.0 / np.pi, rel=1e-12)
+    assert bures_norm_constant(4) == pytest.approx(71680.0 / np.pi**2, rel=1e-12)
 
 
-def test_bures_norm_constant_mc_reports_error():
-    c4, err4 = bures_norm_constant(4)
-    assert c4 > 0 and 0 < err4 < 0.05 * c4
+def _bures_angle_integrand_3(a, b, weight):
+    # lam = (cos^2 a, sin^2 a cos^2 b, sin^2 a sin^2 b) maps [0, pi/2]^2 onto
+    # the simplex; the substitution absorbs the l^(-1/2) singularities into a
+    # smooth Jacobian 4 sin(a).
+    sa = np.sin(a) ** 2
+    lam = (np.cos(a) ** 2, sa * np.cos(b) ** 2, sa * np.sin(b) ** 2)
+    prod = 1.0
+    for x, y in ((lam[0], lam[1]), (lam[0], lam[2]), (lam[1], lam[2])):
+        if x + y == 0.0:
+            return 0.0
+        prod *= (x - y) ** 2 / (x + y)
+    return 4.0 * np.sin(a) * prod * weight(lam)
+
+
+def test_bures_n3_against_angle_quadrature():
+    # independent oracle for the closed forms at N=3: the constant is the
+    # reciprocal of the unnormalized mass, and the mean purity its
+    # Tr rho^2-weighted mass times the constant
+    def mass(weight):
+        val, _ = integrate.dblquad(
+            lambda b, a: _bures_angle_integrand_3(a, b, weight),
+            0.0, np.pi / 2, 0.0, np.pi / 2, epsabs=1e-12, epsrel=1e-12,
+        )
+        return val
+
+    c3 = bures_norm_constant(3)
+    assert 1.0 / mass(lambda lam: 1.0) == pytest.approx(c3, rel=1e-10)
+    purity = c3 * mass(lambda lam: sum(x * x for x in lam))
+    assert purity == pytest.approx(bures_purity_exact(3), rel=1e-10)
+
+
+def test_bures_norm_constant_mc_oracle():
+    # importance sampling from the Dirichlet(1/2) envelope, whose density is
+    # alpha * prod l^(-1/2) with alpha = Gamma(n/2) / pi^(n/2): the weights
+    # C_N / alpha * prod_{i<j} (l_i - l_j)^2 / (l_i + l_j) must average to 1
+    from scipy.special import gammaln
+
+    rng = np.random.default_rng(321)
+    m = 400000
+    for n in (4, 5):
+        g = rng.gamma(0.5, 1.0, size=(m, n))
+        lam = g / g.sum(axis=1, keepdims=True)
+        i, j = np.triu_indices(n, 1)
+        acc = np.prod((lam[:, i] - lam[:, j]) ** 2 / (lam[:, i] + lam[:, j]), axis=1)
+        log_alpha = gammaln(n / 2.0) - (n / 2.0) * np.log(np.pi)
+        weights = np.exp(log_bures_norm_constant(n) - log_alpha) * acc
+        stderr = weights.std(ddof=1) / np.sqrt(m)
+        assert abs(weights.mean() - 1.0) <= 3 * stderr
+        assert stderr < 0.05
+
+
+def test_bures_norm_constant_range():
+    assert np.isfinite(log_bures_norm_constant(64))
+    assert bures_norm_constant(19) == pytest.approx(np.exp(log_bures_norm_constant(19)))
+    with pytest.raises(DomainError):
+        bures_norm_constant(20)  # beyond the double range
+    with pytest.raises(DomainError):
+        log_bures_norm_constant(0)
 
 
 def test_bures_joint_density_normalized_field():
     unnorm, norm = bures_joint_density([0.75, 0.25], 2)
-    assert norm == pytest.approx(unnorm * 2.0 / np.pi, rel=1e-10)
+    assert norm == pytest.approx(unnorm * 2.0 / np.pi, rel=1e-12)
     unnorm6, norm6 = bures_joint_density([0.4, 0.3, 0.15, 0.08, 0.05, 0.02], 6)
-    assert norm6 is None and unnorm6 > 0
+    assert unnorm6 > 0 and np.isfinite(norm6)
+    assert norm6 == pytest.approx(unnorm6 * bures_norm_constant(6), rel=1e-12)
+
+
+def test_bures_purity_exact():
+    assert bures_purity_exact(1) == 1.0
+    assert bures_purity_exact(2) == 7.0 / 8.0 == n2_reference_means("bures").mean_purity
+    with pytest.raises(DomainError):
+        bures_purity_exact(0)
 
 
 def test_bures_radial_vs_joint_consistency():
     # fold the N=2 joint density: p(r) = 2 * C'_2 * unnorm(1/2+r, 1/2-r)
-    c2, _ = bures_norm_constant(2)
+    c2 = bures_norm_constant(2)
     for r in (0.05, 0.2, 0.4):
         joint = 2.0 * c2 * bures_unnormalized_density([0.5 + r, 0.5 - r], 2)
         assert radial_density_n2("bures", r) == pytest.approx(joint, rel=1e-12)

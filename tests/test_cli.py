@@ -215,10 +215,20 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["sample", "--measure", "wat"]) == 2
 
 
-def test_efficiency_failure_exit_3(tmp_path):
-    code, _ = run(tmp_path, "sample", "--measure", "bures", "--n", "6",
-                  "--samples", "5", "--seed", "1")
-    assert code == 3
+def test_estimate_bures_purity_exact_at_any_n(tmp_path):
+    for functional, exact in (("purity", 81.0 / 144.0), ("participation_ratio", 144.0 / 81.0)):
+        code, out = run(tmp_path, "estimate", "--measure", "bures", "--n", "4",
+                        "--functional", functional, "--samples", "2000", "--seed", "3")
+        assert code == 0
+        assert json.loads(out.read_text())["exact"] == pytest.approx(exact, rel=1e-15)
+
+
+def test_sample_bures_n6(tmp_path):
+    code, out = run(tmp_path, "sample", "--measure", "bures", "--n", "6",
+                    "--samples", "5", "--seed", "1")
+    assert code == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (5, 6)
 
 
 def test_env_seed_default(tmp_path, monkeypatch):

@@ -29,11 +29,10 @@ from qmeasure import (
 )
 from qmeasure.analytics import log_norm_constant, radial_cdf_n2
 from qmeasure.ensembles import (
-    bures_acceptance_probability,
     hurwitz_angles,
     _dirichlet_rows,
 )
-from qmeasure.errors import EfficiencyFailure, ZeroSum
+from qmeasure.errors import ZeroSum
 from qmeasure.stats import chi2_test, numeric_cdf
 
 
@@ -289,20 +288,7 @@ def test_product_measure_rotational_invariance():
     assert two_sample_ks(diag, diag_rot).p_value > 0.01
 
 
-# ----------------------------------------------------------------- rejection
-
-def test_bures_acceptance_hand_values():
-    assert bures_acceptance_probability([0.9, 0.1]) == pytest.approx(0.64)
-    assert bures_acceptance_probability([0.5, 0.5]) == 0.0
-
-
-def test_acceptance_probabilities_bounded():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        g = rng.gamma(0.5, size=4)
-        lam = g / g.sum()
-        assert 0.0 <= bures_acceptance_probability(lam) <= 1.0
-
+# --------------------------------------------------------------------- bures
 
 def test_bures_radial_law():
     spectra = sample_spectra(Bures(2), 20000, RandomStream(26, 0))
@@ -328,9 +314,41 @@ def test_bures_density_matrix_is_valid():
     assert rho.dim == 3  # construction validates Hermiticity/trace/positivity
 
 
-def test_bures_efficiency_failure():
-    with pytest.raises(EfficiencyFailure):
-        bures_spectrum(6, RandomStream(29, 0))
+def test_bures_samples_at_any_dimension():
+    for n, count in [(6, 200), (64, 20)]:
+        _assert_valid_rows(sample_spectra(Bures(n), count, RandomStream(29, n)), count, n)
+    assert len(bures_spectrum(64, RandomStream(29, 0))) == 64
+    assert bures_density_matrix(64, RandomStream(29, 1)).dim == 64
+
+
+def _bures_rejection_spectra(n, count, rng):
+    # Dirichlet(1/2) proposals kept with probability
+    # prod_{i<j} (l_i - l_j)^2 / (l_i + l_j) <= 1 leave the Bures law
+    i, j = np.triu_indices(n, 1)
+    kept, total = [], 0
+    while total < count:
+        g = rng.gamma(0.5, 1.0, size=(8192, n))
+        lam = g / g.sum(axis=1, keepdims=True)
+        acc = np.prod((lam[:, i] - lam[:, j]) ** 2 / (lam[:, i] + lam[:, j]), axis=1)
+        kept.append(lam[rng.random(lam.shape[0]) < acc])
+        total += kept[-1].shape[0]
+    return -np.sort(-np.concatenate(kept)[:count], axis=1)
+
+
+def test_bures_matches_dirichlet_rejection():
+    m = 50000
+    engine = sample_spectra(Bures(3), m, RandomStream(40, 0))
+    oracle = _bures_rejection_spectra(3, m, RandomStream(40, 1).rng)
+    assert two_sample_ks(engine[:, 0], oracle[:, 0]).p_value > 0.01
+    assert two_sample_ks(engine[:, 2], oracle[:, 2]).p_value > 0.01
+
+
+def test_bures_density_matrix_radial_law():
+    stream = RandomStream(42, 0)
+    ev = np.array([np.linalg.eigvalsh(bures_density_matrix(2, stream).matrix)
+                   for _ in range(4000)])
+    r = 0.5 * (ev[:, 1] - ev[:, 0])
+    assert ks_test(r, lambda x: radial_cdf_n2("bures", x)).p_value > 0.01
 
 
 def test_bures_scalar():
@@ -465,7 +483,7 @@ def test_measure_spec_validation():
     with pytest.raises(ValueError):
         ProductDirichlet(2, 0.0)
     with pytest.raises(ValueError):
-        Bures(7)
+        Bures(0)
 
 
 @settings(deadline=None)
@@ -481,3 +499,13 @@ def test_induced_rows_are_spectra(n, k, beta, count, seed):
     _assert_valid_rows(spectra, count, n)
     if k < n:
         assert np.all(spectra[:, k:] == 0.0)
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 8),
+    count=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bures_rows_are_spectra(n, count, seed):
+    _assert_valid_rows(sample_spectra(Bures(n), count, RandomStream(seed, 0)), count, n)
