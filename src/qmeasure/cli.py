@@ -26,9 +26,7 @@ from .ensembles import (
     MeasureSpec,
     ProductDirichlet,
     RandomStream,
-    bures_density_matrix,
-    induced_density_matrix,
-    product_measure_density_matrix,
+    sample_matrices,
     sample_spectra,
 )
 from .errors import QMeasureError
@@ -144,14 +142,9 @@ def cmd_sample(args) -> int:
     measure = _build_measure(args)
     seed = args.seed if args.seed is not None else _default_seed()
     if args.matrices:
-        stream = RandomStream(seed, 0)
-        rows = []
-        for _ in range(args.samples):
-            flat = _draw_matrix(measure, stream).matrix.ravel()
-            row = np.empty(2 * flat.size)
-            row[0::2] = flat.real
-            row[1::2] = flat.imag
-            rows.append(row)
+        mats = sample_matrices(measure, args.samples, RandomStream(seed, 0))
+        # complex128 memory is already re/im interleaved in row-major order
+        rows = mats.reshape(args.samples, -1).view(np.float64)
         _emit_table(args, _matrix_columns(measure.n), rows)
     else:
         spectra = sample_spectra(measure, args.samples, RandomStream(seed, 0))
@@ -167,16 +160,6 @@ def _matrix_columns(n: int) -> list[str]:
             cols.append(f"re_{i}_{j}")
             cols.append(f"im_{i}_{j}")
     return cols
-
-
-def _draw_matrix(measure: MeasureSpec, stream: RandomStream):
-    if isinstance(measure, Induced):
-        if measure.beta == 4:
-            raise ValueError("beta=4 has no matrix-level sampler; drop --matrices")
-        return induced_density_matrix(measure.n, measure.k, measure.beta, stream)
-    if isinstance(measure, ProductDirichlet):
-        return product_measure_density_matrix(measure.n, measure.s, stream)
-    return bures_density_matrix(measure.n, stream)
 
 
 def _exact_value(measure: MeasureSpec, functional: str, nu: Optional[float]) -> Optional[float]:
@@ -262,6 +245,8 @@ def _radial_selector(measure: MeasureSpec) -> tuple[str, Optional[int]]:
 def cmd_density(args) -> int:
     measure = _build_measure(args)
     name, k = _radial_selector(measure)
+    if args.bins < 1:
+        raise ValueError(f"need --bins >= 1, got {args.bins}")
     grid = np.arange(args.bins) * (0.5 / args.bins)
     dens = analytics.radial_density_n2(name, grid, k)
     _emit_table(args, ["r", "density"], np.column_stack([grid, dens]))

@@ -36,6 +36,20 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
+def validate_density_matrices(w: np.ndarray) -> None:
+    """Check a (m, n, n) stack of matrices: raise ValueError unless every one
+    is Hermitian, unit-trace and positive semidefinite within the
+    construction tolerances. The message names the first failing check."""
+    if abs(w - w.conj().swapaxes(1, 2)).max() > HERMITIAN_TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    traces = w.trace(axis1=1, axis2=2).real
+    if abs(traces - 1.0).max() > TRACE_TOL:
+        first = traces[abs(traces - 1.0) > TRACE_TOL][0]
+        raise ValueError(f"trace is {first!r}, not 1")
+    if np.linalg.eigvalsh(w)[:, 0].min() < -EIGENVALUE_CLAMP:
+        raise ValueError("matrix has a negative eigenvalue beyond tolerance")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix."""
@@ -46,12 +60,7 @@ class DensityMatrix:
         m = as_complex_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        if abs(m.trace().real - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace is {m.trace().real!r}, not 1")
-        if np.linalg.eigvalsh(m)[0] < -EIGENVALUE_CLAMP:
-            raise ValueError("matrix has a negative eigenvalue beyond tolerance")
+        validate_density_matrices(m[None])
         object.__setattr__(self, "matrix", _freeze(m))
 
     @property

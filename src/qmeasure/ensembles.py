@@ -23,9 +23,9 @@ from .core import (
     Spectrum,
     ZERO_TRACE_GUARD,
     partial_trace,
-    project_hs,
+    validate_density_matrices,
 )
-from .errors import ZeroSum
+from .errors import ZeroMatrix, ZeroSum
 
 
 @dataclass
@@ -204,8 +204,10 @@ def pure_state_gaussian(m: int, stream: RandomStream) -> np.ndarray:
 
 
 def induced_density_matrix(n: int, k: int, beta: int, stream: RandomStream) -> DensityMatrix:
-    """Density matrix A A^dag / tr(A A^dag) of an n x k Gaussian matrix."""
-    return project_hs(gaussian_matrix(n, k, beta, stream))
+    """Density matrix A A^dag / tr(A A^dag) of an n x k Gaussian matrix, real
+    for beta=1 and complex for beta=2: the count=1 case of
+    :func:`sample_matrices`."""
+    return DensityMatrix(sample_matrices(Induced(n, k, beta), 1, stream)[0])
 
 
 def induced_via_purification(n: int, k: int, stream: RandomStream) -> DensityMatrix:
@@ -227,11 +229,8 @@ def dirichlet_spectrum(n: int, s: float, stream: RandomStream) -> Spectrum:
 
 def product_measure_density_matrix(n: int, s: float, stream: RandomStream) -> DensityMatrix:
     """Rotationally invariant state with Dirichlet(s) spectrum and Haar
-    eigenvectors."""
-    lam = dirichlet_spectrum(n, s, stream)
-    u = haar_unitary(n, stream)
-    w = (u * lam.values) @ u.conj().T
-    return DensityMatrix(0.5 * (w + w.conj().T))
+    eigenvectors: the count=1 case of :func:`sample_matrices`."""
+    return DensityMatrix(sample_matrices(ProductDirichlet(n, s), 1, stream)[0])
 
 
 def bures_spectrum(n: int, stream: RandomStream) -> Spectrum:
@@ -243,10 +242,9 @@ def bures_spectrum(n: int, stream: RandomStream) -> Spectrum:
 def bures_density_matrix(n: int, stream: RandomStream) -> DensityMatrix:
     """Bures-distributed state (1 + U) G G^dag (1 + U)^dag / tr(.), with U
     Haar and G an n x n complex Ginibre matrix (Osipov, Sommers and
-    Zyczkowski, arXiv:0909.5094)."""
-    u = haar_unitary(n, stream)
-    g = gaussian_matrix(n, n, 2, stream)
-    return project_hs((u + np.eye(n)) @ g)
+    Zyczkowski, arXiv:0909.5094): the count=1 case of
+    :func:`sample_matrices`."""
+    return DensityMatrix(sample_matrices(Bures(n), 1, stream)[0])
 
 
 def beta_spectrum(n: int, k: int, beta: int, stream: RandomStream) -> Spectrum:
@@ -290,6 +288,73 @@ def sample_spectra(measure: MeasureSpec, count: int, stream: RandomStream) -> np
     if isinstance(measure, Bures):
         return _bures_spectra(measure.n, count, rng)
     raise TypeError(f"unknown measure spec: {measure!r}")
+
+
+def sample_matrices(measure: MeasureSpec, count: int, stream: RandomStream) -> np.ndarray:
+    """Draw ``count`` density matrices under ``measure`` as a validated
+    (count, n, n) complex128 array, the batched twin of :func:`sample_spectra`.
+
+    Matrix i is bit-identical to the i-th of ``count`` successive
+    single-matrix draws (``induced_density_matrix`` and its siblings) from
+    the same stream: each sample consumes the same RNG words in the same
+    order, only the linear algebra runs on whole chunks.
+
+    - Induced, beta = 1 or 2: A A^dag / tr(A A^dag) for an n x k real or
+      complex Gaussian A. beta = 4 has no matrix-level sampler.
+    - ProductDirichlet: U diag(lambda) U^dag with lambda a Dirichlet(s) point
+      sorted descending and U Haar.
+    - Bures: (1 + U) G G^dag (1 + U)^dag / tr(.), U Haar, G complex Ginibre.
+
+    Every matrix is then scrubbed to (W + W^dag)/2 and checked Hermitian,
+    unit-trace and positive semidefinite.
+    """
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
+    rng = stream.rng
+    n = measure.n
+    cols = n
+    if isinstance(measure, Induced):
+        if measure.beta == 4:
+            raise ValueError("beta=4 has no matrix-level sampler")
+        cols, beta = measure.k, measure.beta
+
+        def draw(m: int) -> np.ndarray:
+            if beta == 2:
+                z = rng.standard_normal((m, 2, n, cols))
+                return _normalized_gram(z[:, 0] + 1j * z[:, 1])
+            return _normalized_gram(rng.standard_normal((m, n, cols)).astype(np.complex128))
+    elif isinstance(measure, ProductDirichlet):
+        s = measure.s
+
+        def draw(m: int) -> np.ndarray:
+            # Gamma variates take a variable number of RNG words, so the
+            # per-sample order (Dirichlet row, then 2 n^2 normals) is kept
+            lam = np.empty((m, n))
+            z = np.empty((m, 2, n, n))
+            for i in range(m):
+                lam[i] = _dirichlet_rows(n, s, rng, 1)[0]
+                rng.standard_normal(out=z[i])
+            u = _haar_from_ginibre(z[:, 0] + 1j * z[:, 1])
+            u_lam = u * np.sort(lam, axis=1)[:, None, ::-1]
+            return u_lam @ np.swapaxes(u.conj(), 1, 2)
+    elif isinstance(measure, Bures):
+
+        def draw(m: int) -> np.ndarray:
+            z = rng.standard_normal((m, 4, n, n))
+            u = _haar_from_ginibre(z[:, 0] + 1j * z[:, 1])
+            return _normalized_gram((u + np.eye(n)) @ (z[:, 2] + 1j * z[:, 3]))
+    else:
+        raise TypeError(f"unknown measure spec: {measure!r}")
+
+    out = np.empty((count, n, n), dtype=np.complex128)
+    chunk = max(1, _CHUNK_ENTRIES // (8 * n * max(n, cols)))
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        w = draw(stop - start)
+        w = 0.5 * (w + np.swapaxes(w.conj(), 1, 2))  # scrub roundoff asymmetry
+        validate_density_matrices(w)
+        out[start:stop] = w
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +421,30 @@ def _dirichlet_rows(n: int, s: float, rng: np.random.Generator, count: int) -> n
 
 
 def _haar_unitaries(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """m Haar unitaries of size n x n via batched QR of complex Gaussians.
+    """m Haar unitaries of size n x n from 2 m n^2 fresh normals."""
+    z = rng.standard_normal((2, m, n, n))
+    return _haar_from_ginibre(z[0] + 1j * z[1])
+
+
+def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries via batched QR of a (m, n, n) complex Ginibre stack.
 
     Column j of each Q is multiplied by the phase R_jj/|R_jj|, which makes
     the R factor's diagonal positive and the Q factor exactly Haar.
     """
-    z = rng.standard_normal((2, m, n, n))
-    q, r = np.linalg.qr(z[0] + 1j * z[1])
+    q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, None, :]
+
+
+def _normalized_gram(a: np.ndarray) -> np.ndarray:
+    """A A^dag / tr(A A^dag) for each matrix of a (m, n, k) stack."""
+    w = a @ np.swapaxes(a.conj(), 1, 2)
+    t = np.trace(w, axis1=1, axis2=2).real
+    if np.any(t < ZERO_TRACE_GUARD):
+        raise ZeroMatrix("matrix norm is numerically zero")
+    w /= t[:, None, None]
+    return w
 
 
 def _bures_spectra(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

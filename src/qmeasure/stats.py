@@ -18,6 +18,7 @@ from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 from scipy.special import chdtrc, kolmogorov, xlogy
 
+from .core import TRACE_TOL
 from .ensembles import MeasureSpec, RandomStream, sample_spectra
 from .errors import DimensionMismatch, InsufficientData, QuadratureFailure
 
@@ -181,42 +182,45 @@ def histogram_1d(values, lo: float, hi: float, bins: int) -> Histogram1D:
     return Histogram1D(lo, hi, counts, under, over)
 
 
-def _ternary_cell(a: float, b: float, c: float, resolution: int) -> tuple[int, int]:
-    r = resolution
-    i = min(int(a * r), r - 1)
-    j = min(int(b * r), r - 1)
-    k = min(int(c * r), r - 1)
-    # Lattice points make the floors sum to r; push such boundary ties down to
-    # the lower-index (upward) cell deterministically.
-    if i + j + k == r:
-        if k > 0:
-            k -= 1
-        elif j > 0:
-            j -= 1
-        else:
-            i -= 1
-    if i + j + k == r - 1:
-        return i, 2 * j  # upward triangle
-    return i, 2 * j + 1  # downward triangle
-
-
 def ternary_histogram(spectra, resolution: int) -> TernaryHistogram:
     """Histogram length-3 spectra over the barycentric triangle grid.
 
-    The binning treats the three coordinates symmetrically, so permuting the
-    components of every spectrum permutes cells without changing the count
-    multiset.
+    Every row must be a point of the simplex: finite, nonnegative and
+    summing to 1 within ``TRACE_TOL``; any other row raises ValueError.
+
+    Cell rule, with R = ``resolution``: take the floors i, j, k of
+    l1 R, l2 R, l3 R, each capped at R - 1. On a lattice line the floors sum
+    to R; such a tie goes to the lower-index cell by decrementing k if
+    k > 0, else j if j > 0, else i. The row then falls in strip i, column
+    2j for the upward triangle (i + j + k = R - 1) and 2j + 1 for the
+    downward one. The binning treats the three coordinates symmetrically,
+    so permuting the components of every spectrum permutes cells without
+    changing the count multiset.
     """
     if resolution < 1:
         raise ValueError(f"need resolution >= 1, got {resolution}")
     arr = np.asarray(spectra, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise DimensionMismatch(f"need (count, 3) spectra, got shape {arr.shape}")
-    counts = np.zeros((resolution, 2 * resolution - 1), dtype=np.int64)
-    for a, b, c in arr:
-        i, j = _ternary_cell(a, b, c, resolution)
-        counts[i, j] += 1
-    return TernaryHistogram(resolution, counts)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("spectra must be finite")
+    if np.any(arr < 0):
+        raise ValueError("spectra must be nonnegative")
+    sums = arr.sum(axis=1)
+    off = np.abs(sums - 1.0) > TRACE_TOL
+    if np.any(off):
+        raise ValueError(f"a spectrum sums to {sums[off][0]!r}, not 1")
+    r = resolution
+    i, j, k = np.minimum((arr * r).astype(np.int64), r - 1).T
+    tie = i + j + k == r
+    dk = tie & (k > 0)
+    dj = tie & ~dk & (j > 0)
+    k = k - dk
+    j = j - dj
+    i = i - (tie & ~dk & ~dj)
+    col = 2 * j + (i + j + k != r - 1)
+    counts = np.bincount(i * (2 * r - 1) + col, minlength=r * (2 * r - 1))
+    return TernaryHistogram(resolution, counts.reshape(r, 2 * r - 1))
 
 
 def _ks_p_value(statistic: float, effective_n: float) -> float:

@@ -294,3 +294,29 @@ def test_json_floats_have_17_digits(tmp_path):
     parsed = json.loads(record_text)
     # round-trip: re-serializing the parsed mean must preserve the value
     assert float(f"{parsed['mean']:.17g}") == parsed["mean"]
+
+
+_SIZED_COMMANDS = [
+    ("sample", ["sample", "--measure", "induced", "--n", "2"], "--samples"),
+    ("sample_matrices", ["sample", "--measure", "bures", "--n", "2", "--matrices"],
+     "--samples"),
+    ("ternary_samples", ["ternary", "--measure", "induced", "--n", "3"], "--samples"),
+    ("ternary_resolution", ["ternary", "--measure", "induced", "--n", "3",
+                            "--samples", "50"], "--resolution"),
+    ("density", ["density", "--measure", "induced", "--n", "2", "--k", "5"], "--bins"),
+    ("estimate_samples", ["estimate", "--measure", "hs", "--n", "2",
+                          "--functional", "purity"], "--samples"),
+    ("estimate_workers", ["estimate", "--measure", "hs", "--n", "2",
+                          "--functional", "purity", "--samples", "200"], "--workers"),
+]
+
+
+@pytest.mark.parametrize("size", [0, -2])
+@pytest.mark.parametrize("name,argv,flag", _SIZED_COMMANDS, ids=[c[0] for c in _SIZED_COMMANDS])
+def test_non_positive_sizes_exit_2(tmp_path, capsys, name, argv, flag, size):
+    code, out = run(tmp_path, *argv, flag, str(size), "--seed", "1")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -21,13 +21,17 @@ from qmeasure import (
     ks_test,
     partial_trace,
     product_measure_density_matrix,
+    project_hs,
     pure_state_gaussian,
     pure_state_hurwitz,
     rescale_to_simplex,
+    sample_matrices,
     sample_spectra,
     two_sample_ks,
 )
+from qmeasure import ensembles
 from qmeasure.analytics import log_norm_constant, radial_cdf_n2
+from qmeasure.core import EIGENVALUE_CLAMP, HERMITIAN_TOL, TRACE_TOL
 from qmeasure.ensembles import (
     hurwitz_angles,
     _dirichlet_rows,
@@ -509,3 +513,85 @@ def test_induced_rows_are_spectra(n, k, beta, count, seed):
 )
 def test_bures_rows_are_spectra(n, count, seed):
     _assert_valid_rows(sample_spectra(Bures(n), count, RandomStream(seed, 0)), count, n)
+
+
+# ------------------------------------------------------------ batched matrices
+
+def _matrices_one_by_one(measure, count, stream):
+    """Reference: the per-sample constructions the batched sampler replaced."""
+    n = measure.n
+    out = []
+    for _ in range(count):
+        if isinstance(measure, Induced):
+            rho = project_hs(gaussian_matrix(n, measure.k, measure.beta, stream)).matrix
+        elif isinstance(measure, ProductDirichlet):
+            lam = dirichlet_spectrum(n, measure.s, stream)
+            u = haar_unitary(n, stream)
+            w = (u * lam.values) @ u.conj().T
+            rho = 0.5 * (w + w.conj().T)
+        else:
+            u = haar_unitary(n, stream)
+            g = gaussian_matrix(n, n, 2, stream)
+            rho = project_hs((u + np.eye(n)) @ g).matrix
+        out.append(rho)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("measure", [
+    Induced(3, 5, 1), Induced(4, 2, 1), Induced(3, 6, 2), Induced(4, 2, 2),
+    ProductDirichlet(3, 1.0), ProductDirichlet(3, 0.5), Bures(2), Bures(3),
+], ids=repr)
+@pytest.mark.parametrize("chunk_rows", [None, 7])
+def test_sample_matrices_bit_equal_to_single_draws(measure, chunk_rows, monkeypatch):
+    if chunk_rows is not None:
+        # 20 matrices then span three chunks
+        cols = getattr(measure, "k", measure.n)
+        monkeypatch.setattr(ensembles, "_CHUNK_ENTRIES",
+                            chunk_rows * 8 * measure.n * max(measure.n, cols))
+    batch = sample_matrices(measure, 20, RandomStream(61, 2))
+    assert batch.shape == (20, measure.n, measure.n) and batch.dtype == np.complex128
+    assert np.array_equal(batch, _matrices_one_by_one(measure, 20, RandomStream(61, 2)))
+
+
+def test_single_matrix_functions_are_first_batch_rows():
+    for draw, measure in (
+        (lambda s: induced_density_matrix(3, 4, 2, s), Induced(3, 4, 2)),
+        (lambda s: product_measure_density_matrix(3, 0.5, s), ProductDirichlet(3, 0.5)),
+        (lambda s: bures_density_matrix(3, s), Bures(3)),
+    ):
+        stream = RandomStream(62, 0)
+        singles = np.array([draw(stream).matrix for _ in range(5)])
+        assert np.array_equal(singles, sample_matrices(measure, 5, RandomStream(62, 0)))
+
+
+def test_sample_matrices_rejects_beta4_and_empty_counts():
+    with pytest.raises(ValueError):
+        sample_matrices(Induced(2, 3, 4), 5, RandomStream(63, 0))
+    with pytest.raises(ValueError):
+        induced_density_matrix(2, 3, 4, RandomStream(63, 0))
+    for count in (0, -2):
+        with pytest.raises(ValueError):
+            sample_matrices(Bures(2), count, RandomStream(63, 0))
+
+
+@settings(deadline=None)
+@given(
+    kind=st.sampled_from(["induced_1", "induced_2", "product", "bures"]),
+    n=st.integers(1, 6),
+    k=st.integers(1, 8),
+    s=st.floats(0.05, 3.0),
+    count=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matrix_batches_are_density_matrices(kind, n, k, s, count, seed):
+    measure = {
+        "induced_1": Induced(n, k, 1),
+        "induced_2": Induced(n, k, 2),
+        "product": ProductDirichlet(n, s),
+        "bures": Bures(n),
+    }[kind]
+    w = sample_matrices(measure, count, RandomStream(seed, 0))
+    assert w.shape == (count, n, n)
+    assert np.max(np.abs(w - np.conj(np.swapaxes(w, 1, 2)))) <= HERMITIAN_TOL
+    assert np.max(np.abs(np.trace(w, axis1=1, axis2=2).real - 1.0)) <= TRACE_TOL
+    assert np.min(np.linalg.eigvalsh(w)) >= -EIGENVALUE_CLAMP

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeasure import (
     Induced,
@@ -147,6 +151,66 @@ def test_ternary_induced_concentrates_with_k():
 def test_ternary_validation():
     with pytest.raises(DimensionMismatch):
         ternary_histogram(np.ones((4, 2)) / 2, 3)
+
+
+@pytest.mark.parametrize("row", [
+    [-0.5, 0.5, 1.0],          # negative entry
+    [0.9, 0.9, 0.0],           # sums to 1.8
+    [np.nan, 0.5, 0.5],        # not finite
+    [np.inf, 0.0, 0.0],        # not finite
+], ids=["negative", "sum_off_one", "nan", "inf"])
+def test_ternary_rejects_rows_off_the_simplex(row):
+    spectra = np.array([[0.2, 0.3, 0.5], row])
+    with pytest.raises(ValueError):
+        ternary_histogram(spectra, 4)
+
+
+def _ternary_cell(a: float, b: float, c: float, resolution: int) -> tuple[int, int]:
+    """Reference: the per-row cell rule the vectorised histogram replaced."""
+    r = resolution
+    i = min(int(a * r), r - 1)
+    j = min(int(b * r), r - 1)
+    k = min(int(c * r), r - 1)
+    # Lattice points make the floors sum to r; push such boundary ties down to
+    # the lower-index (upward) cell deterministically.
+    if i + j + k == r:
+        if k > 0:
+            k -= 1
+        elif j > 0:
+            j -= 1
+        else:
+            i -= 1
+    if i + j + k == r - 1:
+        return i, 2 * j  # upward triangle
+    return i, 2 * j + 1  # downward triangle
+
+
+def _ternary_counts_loop(spectra, resolution: int) -> np.ndarray:
+    counts = np.zeros((resolution, 2 * resolution - 1), dtype=np.int64)
+    for a, b, c in spectra:
+        i, j = _ternary_cell(a, b, c, resolution)
+        counts[i, j] += 1
+    return counts
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    resolution=st.integers(1, 64),
+    alpha=st.sampled_from([0.1, 1.0, 5.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ternary_matches_loop_oracle(resolution, alpha, seed):
+    r = resolution
+    dirichlet = np.random.default_rng(seed).dirichlet([alpha] * 3, size=300)
+    # lattice points of the histogram's own grid hit every tie-break branch
+    lattice = np.array([(i / r, j / r, (r - i - j) / r)
+                        for i in range(r + 1) for j in range(r + 1 - i)])
+    for rows in (dirichlet, lattice):
+        for perm in itertools.permutations(range(3)):
+            permuted = rows[:, list(perm)]
+            hist = ternary_histogram(permuted, r)
+            assert np.array_equal(hist.counts, _ternary_counts_loop(permuted, r))
+            assert sum(c for _, _, c in hist.cells()) == len(rows)
 
 
 # ----------------------------------------------------------------- gof tests
