@@ -4,22 +4,20 @@ Joint eigenvalue densities are reported with respect to Lebesgue measure on
 the (N-1)-dimensional simplex (the trace delta is already eliminated) and
 describe unordered eigenvalues; comparisons against descending-sorted samples
 must multiply by N!. All normalization constants are assembled in log space
-so dimensions up to 64 stay finite.
+so they stay finite at any dimension. Every exact value is a closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy.special import betainc, gamma, poch
 
 from .errors import DomainError, QuadratureFailure
-from .special import EULER_GAMMA, gauss_laguerre_nodes, laguerre_sum_sq, log_gamma
+from .special import EULER_GAMMA, digamma, gauss_laguerre_nodes, laguerre_sum_sq, log_gamma
 
-_CLOSED_FORM_NUS = (2, 3, 4)
 _QUAD_NODES_SMOOTH = 128       # plenty for polynomial integrands (integer nu)
 _QUAD_NODES_SINGULAR = 1024    # non-integer nu: x^nu has a weak singularity at 0
 
@@ -64,11 +62,8 @@ def cpn_volume(n: int) -> float:
 
 
 def log_norm_constant(n: int, k: int, beta: float) -> float:
-    """ln C of the induced joint eigenvalue density for symmetry class beta.
-
-    Computed from the Selberg-integral product of Gamma functions, entirely
-    in log space.
-    """
+    """ln C of the induced joint eigenvalue density for symmetry class beta,
+    from the Selberg-integral product of Gamma functions in log space."""
     if not 1 <= n <= k:
         raise DomainError(f"need k >= n >= 1, got n={n}, k={k}")
     if not beta > 0:
@@ -173,10 +168,12 @@ def bures_purity_exact(n: int) -> float:
     return (5.0 * n * n + 1.0) / (2.0 * n * (n * n + 2.0))
 
 
-@lru_cache(maxsize=None)
-def _induced_radial_norm(k: int) -> float:
-    val, _ = integrate.quad(lambda r: r * r * (0.25 - r * r) ** (k - 2), 0.0, 0.5)
-    return 1.0 / val
+def bures_mean_entropy_exact(n: int) -> float:
+    """Mean von Neumann entropy psi(n^2/2 + 1) - psi(n + 1/2) under the Bures
+    measure (Sarkar and Kumar, arXiv:1901.09587); 2 ln 2 - 7/6 at n = 2."""
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    return digamma(n * n / 2.0 + 1.0) - digamma(n + 0.5)
 
 
 def _scalar_or_array(x, out):
@@ -184,46 +181,47 @@ def _scalar_or_array(x, out):
     return float(out) if np.ndim(x) == 0 else out
 
 
+# (a, b) of the Beta law of u = 4r^2 = (l1 - l2)^2 for the named N=2 measures
+_RADIAL_BETA = {"unitary": (0.5, 1.0), "orthogonal": (0.5, 0.5), "hs": (1.5, 1.0),
+                "bures": (1.5, 0.5)}
+
+
+def _radial_beta(measure: str, k: int | None) -> tuple[float, float]:
+    if measure == "induced":
+        if k is None or k < 2:
+            raise DomainError("induced radial law needs k >= 2")
+        return 1.5, k - 1.0
+    try:
+        return _RADIAL_BETA[measure]
+    except KeyError:
+        raise DomainError(f"unknown radial measure {measure!r}") from None
+
+
 def radial_density_n2(measure: str, r, k: int | None = None):
     """Radial (Bloch-ball) eigenvalue density for N=2 on r in [0, 1/2).
 
-    measure is one of unitary, orthogonal, hs, bures, induced; induced needs
-    the environment dimension k >= 2 and is c_k r^2 (1/4 - r^2)^(k-2) with a
-    numerically fixed constant. Accepts scalars or arrays.
+    For every N=2 measure u = 4r^2 = (l1 - l2)^2 is a Beta(a, b) variate:
+    unitary (1/2, 1), orthogonal (1/2, 1/2), hs (3/2, 1), bures (3/2, 1/2)
+    and induced with environment dimension k >= 2 (3/2, k - 1). The density
+    in r, 4 (2r)^(2a-1) (1 - 4r^2)^(b-1)/B(a, b), accepts scalars or arrays.
     """
     rv = np.asarray(r, dtype=np.float64)
     if np.any((rv < 0.0) | (rv >= 0.5)):
         raise DomainError(f"radius must lie in [0, 1/2), got {r!r}")
-    if measure == "unitary":
-        return _scalar_or_array(r, np.full_like(rv, 2.0))
-    if measure == "orthogonal":
-        return _scalar_or_array(r, 4.0 / (np.pi * np.sqrt(1.0 - 4.0 * rv * rv)))
-    if measure == "hs":
-        return _scalar_or_array(r, 24.0 * rv * rv)
-    if measure == "bures":
-        return _scalar_or_array(r, 32.0 * rv * rv / (np.pi * np.sqrt(1.0 - 4.0 * rv * rv)))
-    if measure == "induced":
-        if k is None or k < 2:
-            raise DomainError("induced radial density needs k >= 2")
-        return _scalar_or_array(r, _induced_radial_norm(k) * rv * rv * (0.25 - rv * rv) ** (k - 2))
-    raise DomainError(f"unknown radial measure {measure!r}")
+    a, b = _radial_beta(measure, k)
+    shape = 4.0 * (2.0 * rv) ** (2.0 * a - 1.0) * (1.0 - 4.0 * rv * rv) ** (b - 1.0)
+    # 1/B(a, b) = poch(b, a)/Gamma(a) stays finite where Gamma(a + b) overflows
+    return _scalar_or_array(r, shape * (poch(b, a) / gamma(a)))
 
 
-def radial_cdf_n2(measure: str, r):
-    """Closed-form radial CDFs for the four named N=2 measures."""
+def radial_cdf_n2(measure: str, r, k: int | None = None):
+    """CDF of :func:`radial_density_n2`: the regularized incomplete Beta
+    function I_{4r^2}(a, b), on r in [0, 1/2]."""
     rv = np.asarray(r, dtype=np.float64)
     if np.any((rv < 0.0) | (rv > 0.5)):
         raise DomainError(f"radius must lie in [0, 1/2], got {r!r}")
-    if measure == "unitary":
-        return _scalar_or_array(r, 2.0 * rv)
-    if measure == "orthogonal":
-        return _scalar_or_array(r, (2.0 / np.pi) * np.arcsin(2.0 * rv))
-    if measure == "hs":
-        return _scalar_or_array(r, 8.0 * rv**3)
-    if measure == "bures":
-        theta = np.arcsin(2.0 * rv)
-        return _scalar_or_array(r, (2.0 * theta - np.sin(2.0 * theta)) / np.pi)
-    raise DomainError(f"no closed-form radial CDF for {measure!r}")
+    a, b = _radial_beta(measure, k)
+    return _scalar_or_array(r, betainc(a, b, 4.0 * rv * rv))
 
 
 def schmidt_angle_density(alpha):
@@ -259,14 +257,6 @@ def entanglement_cdf_n2(kind: str, x):
     raise DomainError(f"kind must be 'tangle' or 'concurrence', got {kind!r}")
 
 
-def _hs_moment_quadrature_value(n: int, nu: float, count: int) -> float:
-    x, w = gauss_laguerre_nodes(count)
-    keep = w > 0.0
-    x, w = x[keep], w[keep]
-    log_b = log_gamma(n * n) - log_gamma(n * n + nu)
-    return float(math.exp(log_b) * np.sum(w * x**nu * laguerre_sum_sq(n, x)))
-
-
 def hs_moment_quadrature(n: int, nu: float, count: int | None = None) -> float:
     """Gauss-Laguerre evaluation of <Tr rho^nu> under the Hilbert-Schmidt
     measure, via the Laguerre-kernel integral. Raises QuadratureFailure when
@@ -278,8 +268,14 @@ def hs_moment_quadrature(n: int, nu: float, count: int | None = None) -> float:
     if count is None:
         count = _QUAD_NODES_SMOOTH if float(nu).is_integer() else _QUAD_NODES_SINGULAR
     count = max(count, 2 * n + 8)
-    value = _hs_moment_quadrature_value(n, nu, count)
-    check = _hs_moment_quadrature_value(n, nu, count // 2)
+    scale = math.exp(log_gamma(n * n) - log_gamma(n * n + nu))
+
+    def kernel_integral(nodes: int) -> float:
+        x, w = gauss_laguerre_nodes(nodes)
+        x, w = x[w > 0.0], w[w > 0.0]
+        return float(scale * np.sum(w * x**nu * laguerre_sum_sq(n, x)))
+
+    value, check = kernel_integral(count), kernel_integral(count // 2)
     residual = abs(value - check) / max(abs(value), 1e-300)
     if residual > 1e-8:
         raise QuadratureFailure(
@@ -289,25 +285,32 @@ def hs_moment_quadrature(n: int, nu: float, count: int | None = None) -> float:
     return value
 
 
-def hs_moment_exact(n: int, nu: float) -> MomentReport:
-    """<Tr rho^nu> under the Hilbert-Schmidt measure (k = n, beta = 2).
+def induced_moment_exact(n: int, k: int, nu: float) -> MomentReport:
+    """<Tr rho^nu> under the induced measure (beta = 2), from the Laguerre
+    kernel: with N = min(n, k) and a = |k - n| it is Gamma(nk)/Gamma(nk + nu)
+    sum_{m<N} m!/Gamma(m+a+1) sum_{j<=m} C(nu, m-j)^2 Gamma(a+nu+j+1)/j!.
+    Every term is nonnegative and comes from its m = j neighbour by a ratio
+    recurrence in d = m - j, so no factorial overflows. It needs nu > n - k - 1
+    for k >= n, and nu > 0 for k < n, where rho has n - k zero eigenvalues."""
+    if n < 1 or k < 1:
+        raise DomainError(f"need n, k >= 1, got n={n}, k={k}")
+    lowest = n - k - 1 if k >= n else 0
+    if not nu > lowest:
+        raise DomainError(f"need nu > {lowest} at n={n}, k={k}, got {nu}")
+    size, a = min(n, k), abs(k - n)
+    j = np.arange(size, dtype=np.float64)
+    terms = poch(a + j + 1.0, nu)  # d = 0: Gamma(a + nu + j + 1)/Gamma(a + j + 1)
+    total = terms.sum()
+    for d in range(1, size):
+        jd = j[: size - d] + d
+        terms = terms[:-1] * ((nu - d + 1) / d) ** 2 * jd / (a + jd)
+        total += terms.sum()
+    return MomentReport(n, k, 2, nu, float(total / poch(n * k, nu)), "closed-form")
 
-    nu in {2, 3, 4} uses the closed rational forms; other exponents fall back
-    to Gauss-Laguerre quadrature.
-    """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if not nu > -1:
-        raise DomainError(f"need nu > -1, got {nu}")
-    n2 = n * n
-    if nu == 2:
-        return MomentReport(n, n, 2, nu, 2.0 * n / (n2 + 1), "closed-form")
-    if nu == 3:
-        return MomentReport(n, n, 2, nu, (5.0 * n2 + 1) / ((n2 + 1) * (n2 + 2)), "closed-form")
-    if nu == 4:
-        value = (14.0 * n**3 + 10.0 * n) / ((n2 + 1) * (n2 + 2) * (n2 + 3))
-        return MomentReport(n, n, 2, nu, value, "closed-form")
-    return MomentReport(n, n, 2, nu, hs_moment_quadrature(n, nu), "quadrature")
+
+def hs_moment_exact(n: int, nu: float) -> MomentReport:
+    """<Tr rho^nu> under the Hilbert-Schmidt measure (k = n)."""
+    return induced_moment_exact(n, n, nu)
 
 
 def purity_induced_exact(n: int, k: int) -> float:
@@ -318,22 +321,19 @@ def purity_induced_exact(n: int, k: int) -> float:
     return (n + k) / (n * k + 1.0)
 
 
+def induced_mean_entropy_exact(n: int, k: int) -> float:
+    """Mean von Neumann entropy under the induced measure, Page's formula
+    (PRL 71 (1993) 1291) psi(nk + 1) - psi(K + 1) - (N - 1)/(2K) with
+    N = min(n, k) and K = max(n, k); symmetric in n and k."""
+    if n < 1 or k < 1:
+        raise DomainError(f"need n, k >= 1, got n={n}, k={k}")
+    small, big = min(n, k), max(n, k)
+    return digamma(n * k + 1.0) - digamma(big + 1.0) - (small - 1) / (2.0 * big)
+
+
 def hs_mean_entropy_exact(n: int) -> float:
-    """Mean von Neumann entropy under the Hilbert-Schmidt measure, as minus
-    the derivative of the moment at nu = 1 (central difference with one
-    Richardson step, h = 1e-4)."""
-    if not 1 <= n <= 64:
-        raise DomainError(f"need 1 <= n <= 64, got {n}")
-    if n == 1:
-        return 0.0
-    h = 1e-4
-
-    def diff(hh: float) -> float:
-        up = _hs_moment_quadrature_value(n, 1.0 + hh, _QUAD_NODES_SINGULAR)
-        lo = _hs_moment_quadrature_value(n, 1.0 - hh, _QUAD_NODES_SINGULAR)
-        return (up - lo) / (2.0 * hh)
-
-    return -(4.0 * diff(h / 2) - diff(h)) / 3.0
+    """Mean entropy under the Hilbert-Schmidt measure (k = n); ~ ln n - 1/2."""
+    return induced_mean_entropy_exact(n, n)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,8 @@ def _to_json(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot write the non-finite number {value!r} as JSON")
         return _fmt_float(value)
     if isinstance(value, str):
         return json.dumps(value)
@@ -169,24 +171,26 @@ def _exact_value(measure: MeasureSpec, functional: str, nu: Optional[float]) -> 
             return analytics.purity_induced_exact(n, k)
         if functional == "participation_ratio":
             return 1.0 / analytics.purity_induced_exact(n, k)
-        if functional == "entropy" and n == k:
-            return analytics.hs_mean_entropy_exact(n)
-        if functional == "trace_power" and n == k and nu is not None:
-            return analytics.hs_moment_exact(n, nu).value
+        if functional == "entropy":
+            return analytics.induced_mean_entropy_exact(n, k)
+        if functional == "trace_power" and nu is not None:
+            return analytics.induced_moment_exact(n, k, nu).value
         if n == 2 and k == 2:
             if functional == "tangle":
                 return 0.4
             if functional == "concurrence":
                 return 3.0 * math.pi / 16.0
         return None
-    if isinstance(measure, Bures) and functional in ("purity", "participation_ratio"):
-        purity = analytics.bures_purity_exact(measure.n)
-        return purity if functional == "purity" else 1.0 / purity
+    if isinstance(measure, Bures):
+        if functional == "entropy":
+            return analytics.bures_mean_entropy_exact(measure.n)
+        if functional in ("purity", "participation_ratio"):
+            purity = analytics.bures_purity_exact(measure.n)
+            return purity if functional == "purity" else 1.0 / purity
+        return None
     name = None
     if isinstance(measure, ProductDirichlet) and measure.n == 2:
         name = {1.0: "unitary", 0.5: "orthogonal"}.get(measure.s)
-    elif isinstance(measure, Bures) and measure.n == 2:
-        name = "bures"
     if name is None:
         return None
     ref = analytics.n2_reference_means(name)

@@ -38,8 +38,10 @@ def as_complex_matrix(a) -> np.ndarray:
 
 def validate_density_matrices(w: np.ndarray) -> None:
     """Check a (m, n, n) stack of matrices: raise ValueError unless every one
-    is Hermitian, unit-trace and positive semidefinite within the
+    is finite, Hermitian, unit-trace and positive semidefinite within the
     construction tolerances. The message names the first failing check."""
+    if not np.isfinite(w).all():
+        raise ValueError("matrix has non-finite entries")
     if abs(w - w.conj().swapaxes(1, 2)).max() > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     traces = w.trace(axis1=1, axis2=2).real
@@ -103,6 +105,8 @@ class Spectrum:
         v = np.ascontiguousarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size < 1:
             raise DimensionMismatch(f"spectrum must be a 1-D sequence, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("spectrum has non-finite entries")
         if np.any(np.diff(v) > 0):
             raise ValueError("spectrum must be sorted in descending order")
         if v[-1] < 0:

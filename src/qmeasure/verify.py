@@ -32,7 +32,6 @@ from .stats import (
     chi2_test,
     ks_test,
     mc_estimate,
-    numeric_cdf,
     spectrum_functional,
     ternary_histogram,
     two_sample_ks,
@@ -126,21 +125,17 @@ def criterion_3(config: BatteryConfig) -> CriterionResult:
 
 def criterion_4(config: BatteryConfig) -> CriterionResult:
     res = CriterionResult(4, "N=2 radial distributions")
-    named = [
-        ("unitary", ProductDirichlet(2, 1.0)),
-        ("orthogonal", ProductDirichlet(2, 0.5)),
-        ("hs", Induced(2, 2, 2)),
-        ("bures", Bures(2)),
-    ]
-    for sub, (name, measure) in enumerate(named):
+    cases = [
+        ("unitary", None, ProductDirichlet(2, 1.0)),
+        ("orthogonal", None, ProductDirichlet(2, 0.5)),
+        ("hs", None, Induced(2, 2, 2)),
+        ("bures", None, Bures(2)),
+    ] + [("induced", k, Induced(2, k, 2)) for k in (3, 4, 5)]
+    for sub, (name, k, measure) in enumerate(cases):
         spectra = sample_spectra(measure, config.samples, _stream(config, 4, sub))
-        gof = ks_test(_radius(spectra), lambda r, name=name: analytics.radial_cdf_n2(name, r))
-        res.add(f"radius KS, {name}", gof.p_value > 0.01, p=gof.p_value, d=gof.statistic)
-    for sub, k in enumerate([3, 4, 5], start=len(named)):
-        spectra = sample_spectra(Induced(2, k, 2), config.samples, _stream(config, 4, sub))
-        cdf = numeric_cdf(lambda r, k=k: analytics.radial_density_n2("induced", r, k), 0.0, 0.5)
-        gof = ks_test(_radius(spectra), cdf)
-        res.add(f"radius KS, induced K={k}", gof.p_value > 0.01, p=gof.p_value, d=gof.statistic)
+        gof = ks_test(_radius(spectra), lambda r: analytics.radial_cdf_n2(name, r, k))
+        label = name if k is None else f"induced K={k}"
+        res.add(f"radius KS, {label}", gof.p_value > 0.01, p=gof.p_value, d=gof.statistic)
     return res
 
 
@@ -161,7 +156,7 @@ def criterion_5(config: BatteryConfig) -> CriterionResult:
 
 
 def criterion_6(config: BatteryConfig) -> CriterionResult:
-    res = CriterionResult(6, "N=2 reference means; Bures purity N=3..6")
+    res = CriterionResult(6, "N=2 reference means; Bures purity and entropy N=3..6")
     cases = [
         ("unitary", ProductDirichlet(2, 1.0)),
         ("orthogonal", ProductDirichlet(2, 0.5)),
@@ -180,6 +175,8 @@ def criterion_6(config: BatteryConfig) -> CriterionResult:
         spectra = sample_spectra(Bures(n), config.samples, _stream(config, 6, sub))
         mean, stderr = _mean_stderr(spectrum_functional(spectra, "purity"))
         _zcheck(res, f"purity, Bures N={n}", mean, stderr, analytics.bures_purity_exact(n))
+        mean, stderr = _mean_stderr(spectrum_functional(spectra, "entropy"))
+        _zcheck(res, f"entropy, Bures N={n}", mean, stderr, analytics.bures_mean_entropy_exact(n))
     return res
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from qmeasure import analytics
@@ -8,6 +10,7 @@ from qmeasure.analytics import (
     MomentReport,
     asymptotics,
     bures_joint_density,
+    bures_mean_entropy_exact,
     bures_norm_constant,
     bures_purity_exact,
     bures_unnormalized_density,
@@ -17,6 +20,8 @@ from qmeasure.analytics import (
     hs_mean_entropy_exact,
     hs_moment_exact,
     hs_moment_quadrature,
+    induced_mean_entropy_exact,
+    induced_moment_exact,
     joint_eigenvalue_density,
     log_bures_norm_constant,
     log_norm_constant,
@@ -32,10 +37,36 @@ from qmeasure.errors import DomainError
 from qmeasure.special import EULER_GAMMA
 
 
-def page_entropy(n: int) -> float:
-    # independent digamma-sum oracle for the mean entropy under the
-    # Hilbert-Schmidt measure
-    return sum(1.0 / k for k in range(n + 1, n * n + 1)) - (n - 1) / (2.0 * n)
+def page_entropy(n: int, k: int | None = None) -> float:
+    # independent harmonic-sum oracle for the mean entropy under the induced
+    # measure (Hilbert-Schmidt when k is omitted)
+    small, big = sorted((n, n if k is None else k))
+    return sum(1.0 / j for j in range(big + 1, small * big + 1)) - (small - 1) / (2.0 * big)
+
+
+def rational_moment(n: int, nu: int) -> float:
+    # the rational Hilbert-Schmidt moments at nu = 2, 3, 4
+    n2 = n * n
+    if nu == 2:
+        return 2.0 * n / (n2 + 1)
+    if nu == 3:
+        return (5.0 * n2 + 1) / ((n2 + 1) * (n2 + 2))
+    return (14.0 * n**3 + 10.0 * n) / ((n2 + 1) * (n2 + 2) * (n2 + 3))
+
+
+def _arcsin_cdf(r):
+    theta = np.arcsin(2.0 * r)
+    return (2.0 * theta - np.sin(2.0 * theta)) / np.pi
+
+
+# the four named N=2 radial laws as closed (density, CDF) pairs in r
+NAMED_RADIAL_LAWS = {
+    "unitary": (lambda r: np.full_like(r, 2.0), lambda r: 2.0 * r),
+    "orthogonal": (lambda r: 4.0 / (np.pi * np.sqrt(1.0 - 4.0 * r * r)),
+                   lambda r: (2.0 / np.pi) * np.arcsin(2.0 * r)),
+    "hs": (lambda r: 24.0 * r * r, lambda r: 8.0 * r**3),
+    "bures": (lambda r: 32.0 * r * r / (np.pi * np.sqrt(1.0 - 4.0 * r * r)), _arcsin_cdf),
+}
 
 
 # -------------------------------------------------------------------- volume
@@ -247,12 +278,12 @@ def test_radial_induced_k2_equals_hs():
 
 
 def test_radial_induced_constant_oracle():
-    # dual route: c_K must equal 8 * C_{2,K} from the Selberg constant
-    from qmeasure.analytics import _induced_radial_norm
-
+    # dual route: the density c_K r^2 (1/4 - r^2)^(K-2) must have
+    # c_K = 8 * C_{2,K} from the Selberg constant
+    r = np.array([0.05, 0.2, 0.4])
     for k in range(2, 7):
-        expected = 8.0 * np.exp(log_norm_constant(2, k, 2))
-        assert _induced_radial_norm(k) == pytest.approx(expected, rel=1e-9)
+        expected = 8.0 * np.exp(log_norm_constant(2, k, 2)) * r * r * (0.25 - r * r) ** (k - 2)
+        assert radial_density_n2("induced", r, k) == pytest.approx(expected, rel=1e-9)
 
 
 def test_radial_densities_integrate_to_one():
@@ -273,6 +304,39 @@ def test_radial_cdf_matches_density():
         assert radial_cdf_n2(name, 0.5) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_radial_laws_match_named_closed_forms():
+    r = np.linspace(0.0, 0.4999, 2001)
+    for name, (density, cdf) in NAMED_RADIAL_LAWS.items():
+        np.testing.assert_allclose(radial_density_n2(name, r), density(r), rtol=1e-14)
+        np.testing.assert_allclose(radial_cdf_n2(name, r), cdf(r), rtol=0, atol=1e-14)
+
+
+def test_radial_induced_cdf_matches_numeric_cdf():
+    from qmeasure.stats import numeric_cdf
+
+    r = np.linspace(0.0, 0.5, 1001)
+    for k in (3, 4, 5, 9):
+        oracle = numeric_cdf(lambda t, k=k: radial_density_n2("induced", t, k), 0.0, 0.5)
+        np.testing.assert_allclose(radial_cdf_n2("induced", r, k), oracle(r), rtol=0, atol=1e-8)
+
+
+def test_radial_induced_large_k():
+    r = np.linspace(0.0, 0.4999, 1001)
+    assert np.all(np.isfinite(radial_density_n2("induced", r, 400)))
+    mass, _ = integrate.quad(lambda t: radial_density_n2("induced", t, 400), 0.0, 0.5,
+                             limit=200)
+    assert mass == pytest.approx(1.0, abs=1e-8)
+
+
+@settings(deadline=None)
+@given(name=st.sampled_from(["unitary", "orthogonal", "hs", "bures", "induced"]),
+       k=st.integers(2, 400))
+def test_radial_cdf_rises_from_zero_to_one(name, k):
+    cdf = radial_cdf_n2(name, np.linspace(0.0, 0.5, 257), k)
+    assert cdf[0] == 0.0 and cdf[-1] == 1.0
+    assert np.all(np.diff(cdf) >= 0.0)
+
+
 def test_radial_domain_errors():
     with pytest.raises(DomainError):
         radial_density_n2("hs", 0.5)
@@ -282,6 +346,8 @@ def test_radial_domain_errors():
         radial_density_n2("induced", 0.2)  # missing k
     with pytest.raises(DomainError):
         radial_density_n2("nope", 0.2)
+    with pytest.raises(DomainError):
+        radial_cdf_n2("induced", 0.2, 1)
 
 
 # ------------------------------------------------- angle and entanglement laws
@@ -326,12 +392,10 @@ def test_hs_moment_closed_forms():
 
 
 def test_hs_moment_trace_identity():
-    for n in (1, 2, 3, 8, 16, 32):
+    for n in (1, 2, 3, 8, 16, 32, 64):
         rep = hs_moment_exact(n, 1)
-        assert rep.method == "quadrature"
+        assert rep.method == "closed-form"
         assert abs(rep.value - 1.0) <= 1e-12
-    # dimension 64 sits at the recurrence roundoff floor, slightly above 1e-12
-    assert abs(hs_moment_exact(64, 1).value - 1.0) <= 2e-11
 
 
 def test_hs_moment_quadrature_agrees_with_closed_form():
@@ -343,8 +407,71 @@ def test_hs_moment_quadrature_agrees_with_closed_form():
 
 def test_hs_moment_non_integer_exponent():
     val = hs_moment_exact(3, 2.5)
-    assert val.method == "quadrature"
+    assert val.method == "closed-form"
     assert hs_moment_exact(3, 2.0).value > val.value > hs_moment_exact(3, 3.0).value
+
+
+def test_hs_moment_small_exponents():
+    # regression: nu in (-1, 1) used to raise QuadratureFailure at every n
+    for nu in (-0.5, 0.1, 0.3, 0.5, 0.7, 0.9):
+        assert hs_moment_exact(1, nu).value == 1.0
+        previous = 1.0
+        for n in range(2, 65):
+            value = hs_moment_exact(n, nu).value
+            assert np.isfinite(value) and value > previous  # grows like n^(1-nu)
+            previous = value
+
+
+def test_hs_moment_rational_oracles():
+    for n in range(1, 33):
+        for nu in (2, 3, 4):
+            assert hs_moment_exact(n, nu).value == pytest.approx(rational_moment(n, nu),
+                                                                 rel=1e-12)
+
+
+def test_induced_moment_trace_identity():
+    worst = max(abs(induced_moment_exact(n, k, 1.0).value - 1.0)
+                for n in range(1, 65) for k in range(1, 257))
+    assert worst <= 1e-12
+
+
+def test_induced_moment_matches_quadrature_oracle():
+    for n in range(2, 9):
+        for nu in (1.5, 2.5, 3.7):
+            exact = induced_moment_exact(n, n, nu).value
+            assert exact == pytest.approx(hs_moment_quadrature(n, nu), rel=1e-9)
+
+
+def test_induced_moment_domain():
+    assert induced_moment_exact(2, 5, -3.5).value > 0  # k >= n: nu > -(k - n + 1)
+    for n, k, nu in [(2, 5, -4.0), (3, 3, -1.0), (3, 2, 0.0), (3, 2, -0.5), (0, 2, 2.0)]:
+        with pytest.raises(DomainError):
+            induced_moment_exact(n, k, nu)
+
+
+@pytest.mark.parametrize("n, k, nu", [(3, 5, 1.5), (2, 7, 0.5), (4, 4, 0.3), (3, 2, 0.5)])
+def test_induced_moment_against_mc(n, k, nu):
+    from qmeasure import Induced, RandomStream, sample_spectra
+    from qmeasure.stats import spectrum_functional
+
+    spectra = sample_spectra(Induced(n, k, 2), 40000, RandomStream(71, 0))
+    vals = spectrum_functional(spectra, "trace_power", nu)
+    stderr = vals.std(ddof=1) / np.sqrt(vals.size)
+    assert abs(vals.mean() - induced_moment_exact(n, k, nu).value) <= 3 * stderr
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 12), k=st.integers(1, 40),
+       nu=st.floats(0.0, 5.0, exclude_min=True, exclude_max=True))
+def test_induced_moment_invariants(n, k, nu):
+    value = induced_moment_exact(n, k, nu).value
+    assert value == pytest.approx(induced_moment_exact(k, n, nu).value, rel=1e-12)
+    small = min(n, k)
+    lo, hi = sorted((1.0, small ** (1.0 - nu)))
+    assert lo * (1 - 1e-12) <= value <= hi * (1 + 1e-12)
+    assert induced_moment_exact(n, k, 1.0).value == pytest.approx(1.0, abs=1e-12)
+    assert induced_moment_exact(n, k, 2.0).value == pytest.approx(purity_induced_exact(n, k),
+                                                                  rel=1e-12)
 
 
 def test_moment_report_validation():
@@ -375,8 +502,45 @@ def test_mean_entropy_vs_digamma_oracle():
 
 
 def test_mean_entropy_dimension_bound():
+    # no dimension cap: Page's formula holds at every n
+    for n in (65, 128):
+        assert hs_mean_entropy_exact(n) == pytest.approx(page_entropy(n), abs=1e-12)
+
+
+def test_mean_entropy_matches_page_oracle():
+    for n in (1, 2, 3, 4, 8, 16, 32, 64):
+        assert hs_mean_entropy_exact(n) == pytest.approx(page_entropy(n), abs=1e-12)
+    for n, k in [(2, 5), (3, 7), (4, 2), (1, 9), (7, 40)]:
+        assert induced_mean_entropy_exact(n, k) == pytest.approx(page_entropy(n, k), abs=1e-12)
+        assert induced_mean_entropy_exact(n, k) == induced_mean_entropy_exact(k, n)
     with pytest.raises(DomainError):
-        hs_mean_entropy_exact(65)
+        induced_mean_entropy_exact(0, 3)
+
+
+@pytest.mark.parametrize("n, k", [(2, 5), (3, 7), (4, 2), (5, 5)])
+def test_induced_mean_entropy_against_mc(n, k):
+    from qmeasure import Induced, RandomStream, sample_spectra
+    from qmeasure.stats import spectrum_functional
+
+    spectra = sample_spectra(Induced(n, k, 2), 40000, RandomStream(72, 0))
+    vals = spectrum_functional(spectra, "entropy")
+    stderr = vals.std(ddof=1) / np.sqrt(vals.size)
+    assert abs(vals.mean() - induced_mean_entropy_exact(n, k)) <= 3 * stderr
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 12), k=st.integers(1, 40))
+def test_induced_mean_entropy_bounds(n, k):
+    value = induced_mean_entropy_exact(n, k)
+    assert 0.0 <= value <= np.log(min(n, k))
+
+
+def test_bures_mean_entropy_exact():
+    assert bures_mean_entropy_exact(1) == 0.0
+    assert bures_mean_entropy_exact(2) == pytest.approx(
+        n2_reference_means("bures").mean_entropy, abs=1e-15)
+    with pytest.raises(DomainError):
+        bures_mean_entropy_exact(0)
 
 
 def test_mean_entropy_against_mc_oracle():

@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from qmeasure.analytics import radial_cdf_n2
+from qmeasure.analytics import (
+    bures_mean_entropy_exact,
+    hs_moment_exact,
+    induced_mean_entropy_exact,
+    induced_moment_exact,
+    radial_cdf_n2,
+)
 from qmeasure.cli import main
 from qmeasure.stats import ks_test
 
@@ -221,6 +227,55 @@ def test_estimate_bures_purity_exact_at_any_n(tmp_path):
                         "--functional", functional, "--samples", "2000", "--seed", "3")
         assert code == 0
         assert json.loads(out.read_text())["exact"] == pytest.approx(exact, rel=1e-15)
+
+
+def test_estimate_hs_trace_power_small_nu(tmp_path):
+    # regression: nu in (-1, 1) used to exit 2 with "moment quadrature unstable"
+    code, out = run(tmp_path, "estimate", "--measure", "hs", "--n", "3",
+                    "--functional", "trace_power", "--nu", "0.3", "--samples", "20000",
+                    "--seed", "4")
+    assert code == 0
+    record = json.loads(out.read_text())
+    assert record["exact"] == hs_moment_exact(3, 0.3).value
+    assert abs(record["z_score"]) <= 4.0
+
+
+def test_estimate_exact_values_off_the_diagonal(tmp_path):
+    cases = [
+        (("induced", "--n", "2", "--k", "5", "--functional", "entropy"),
+         induced_mean_entropy_exact(2, 5)),
+        (("induced", "--n", "3", "--k", "5", "--functional", "trace_power", "--nu", "1.5"),
+         induced_moment_exact(3, 5, 1.5).value),
+        (("induced", "--n", "4", "--k", "2", "--functional", "trace_power", "--nu", "0.5"),
+         induced_moment_exact(4, 2, 0.5).value),
+        (("bures", "--n", "4", "--functional", "entropy"), bures_mean_entropy_exact(4)),
+    ]
+    for argv, exact in cases:
+        code, out = run(tmp_path, "estimate", "--measure", *argv, "--samples", "2000",
+                        "--seed", "3")
+        assert code == 0
+        assert json.loads(out.read_text())["exact"] == exact
+
+
+_NON_FINITE_ESTIMATES = [
+    ("induced_beta1_rank_deficient", ["--measure", "induced", "--beta", "1", "--n", "3",
+                                      "--k", "2"]),
+    ("product_underflow", ["--measure", "product", "--n", "3", "--s", "0.005"]),
+    ("induced_beta2_rank_deficient", ["--measure", "induced", "--n", "3", "--k", "2"]),
+]
+
+
+@pytest.mark.parametrize("argv", [c[1] for c in _NON_FINITE_ESTIMATES],
+                         ids=[c[0] for c in _NON_FINITE_ESTIMATES])
+def test_estimate_non_finite_exits_2(tmp_path, capsys, argv):
+    # Tr rho^(-1/2) is infinite on a zero eigenvalue: JSON cannot carry it
+    code, out = run(tmp_path, "estimate", *argv, "--functional", "trace_power",
+                    "--nu", "-0.5", "--samples", "2000", "--seed", "1")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_sample_bures_n6(tmp_path):

@@ -252,6 +252,13 @@ def test_density_matrix_rejects_negative_eigenvalue():
         DensityMatrix(np.diag([1.5, -0.5]))
 
 
+def test_density_matrix_rejects_non_finite():
+    # NaN compares false with every tolerance, so it needs its own check
+    for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 0.5])):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(bad)
+
+
 def test_density_matrix_rejects_non_square():
     with pytest.raises(DimensionMismatch):
         DensityMatrix(np.ones((2, 3)) / 6)
@@ -269,6 +276,12 @@ def test_spectrum_invariants():
         Spectrum([1.2, -0.2])  # negative entry
     with pytest.raises(ValueError):
         Spectrum([0.5, 0.4])  # wrong sum
+
+
+def test_spectrum_rejects_non_finite():
+    for bad in ([np.nan, np.nan], [np.inf, 0.0], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="non-finite"):
+            Spectrum(bad)
 
 
 def test_values_are_frozen():
