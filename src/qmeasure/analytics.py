@@ -290,8 +290,13 @@ def induced_moment_exact(n: int, k: int, nu: float) -> MomentReport:
     kernel: with N = min(n, k) and a = |k - n| it is Gamma(nk)/Gamma(nk + nu)
     sum_{m<N} m!/Gamma(m+a+1) sum_{j<=m} C(nu, m-j)^2 Gamma(a+nu+j+1)/j!.
     Every term is nonnegative and comes from its m = j neighbour by a ratio
-    recurrence in d = m - j, so no factorial overflows. It needs nu > n - k - 1
-    for k >= n, and nu > 0 for k < n, where rho has n - k zero eigenvalues."""
+    recurrence in d = m - j, so no factorial overflows. Where Gamma(nk + nu)/
+    Gamma(nk) = poch(nk, nu) leaves the double range (from nu ~ 140 at
+    nk = 64, or at large negative nu), the m = j seeds carry it instead:
+    poch(a + j + 1, nu)/poch(nk, nu) is the product of x/(x + nu) over the
+    integers x from a + j + 1 to nk - 1, and no partial product exceeds the
+    largest seed. It needs nu > n - k - 1 for k >= n, and nu > 0 for k < n,
+    where rho has n - k zero eigenvalues."""
     if n < 1 or k < 1:
         raise DomainError(f"need n, k >= 1, got n={n}, k={k}")
     lowest = n - k - 1 if k >= n else 0
@@ -299,13 +304,21 @@ def induced_moment_exact(n: int, k: int, nu: float) -> MomentReport:
         raise DomainError(f"need nu > {lowest} at n={n}, k={k}, got {nu}")
     size, a = min(n, k), abs(k - n)
     j = np.arange(size, dtype=np.float64)
-    terms = poch(a + j + 1.0, nu)  # d = 0: Gamma(a + nu + j + 1)/Gamma(a + j + 1)
+    scale = poch(n * k, nu)
+    if 0 < scale < np.inf:
+        # one division at the end keeps integer nu exact: (2, 2, 2) gives 0.8
+        terms = poch(a + j + 1.0, nu)  # d = 0: Gamma(a + nu + j + 1)/Gamma(a + j + 1)
+    else:
+        # suffix products of x/(x + nu); the empty product is 1 when N = 1
+        x = np.arange(a + 1.0, n * k)
+        terms = np.append(np.cumprod((x / (x + nu))[::-1])[::-1], 1.0)[:size]
+        scale = 1.0
     total = terms.sum()
     for d in range(1, size):
         jd = j[: size - d] + d
         terms = terms[:-1] * ((nu - d + 1) / d) ** 2 * jd / (a + jd)
         total += terms.sum()
-    return MomentReport(n, k, 2, nu, float(total / poch(n * k, nu)), "closed-form")
+    return MomentReport(n, k, 2, nu, float(total / scale), "closed-form")
 
 
 def hs_moment_exact(n: int, nu: float) -> MomentReport:

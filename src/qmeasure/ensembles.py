@@ -8,10 +8,19 @@ which is how parallel workers stay reproducible.
 
 Complex Gaussian entries have independent unit-variance real and imaginary
 parts, so E|a|^2 = 2. The overall scale cancels in every normalized output.
+
+:func:`sample_spectra` uses every CPU the process may run on for its per-row
+linear algebra, and its output does not depend on the CPU count: each chunk's
+RNG draws are made on the calling thread in stream order, and only the
+matrix formation, eigensolve and normalisation of independent rows are
+spread over one shared, lazily created thread pool.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -275,7 +284,9 @@ def sample_spectra(measure: MeasureSpec, count: int, stream: RandomStream) -> np
     Induced spectra come from the beta-Laguerre bidiagonal model for every
     beta, product-Dirichlet spectra from normalized Gamma variates, and Bures
     spectra from a closed form at n = 2 and the (1 + U) G construction above.
-    Every route is exact and rejection-free.
+    Every route is exact and rejection-free. Large calls run their per-row
+    linear algebra on every CPU the process may run on; the output is the
+    same on any number of CPUs.
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
@@ -363,6 +374,59 @@ def sample_matrices(measure: MeasureSpec, count: int, stream: RandomStream) -> n
 _CHUNK_ENTRIES = 2 * 10**7
 
 
+# CPUs this process may run on: its affinity mask where the OS has one
+if hasattr(os, "sched_getaffinity"):
+    _THREADS = len(os.sched_getaffinity(0))
+else:
+    _THREADS = os.cpu_count() or 1
+# The fewest matrix entries (rows x n^2) worth a slice of their own. Timed on
+# 2 CPUs (median of 7-60 alternating calls, sample_spectra at 2^14..2^17
+# entries per call), the pool against the inline finish took 0.92-1.36x the
+# time at 2^14 entries, 0.75-1.28x at 2^15 (Induced(64,64) the slowest) and
+# 0.70-0.97x at 2^16 for every Induced n <= 64 and Bures n = 3, 5, 8. So two
+# slices of 2^15 entries each are the smallest split that paid everywhere.
+_SLICE_ENTRIES = 2**15
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The process's one finish-stage pool, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_THREADS, thread_name_prefix="qmeasure-finish")
+        return _pool
+
+
+def _forget_pool_after_fork() -> None:
+    # a forked child inherits the pool object but none of its threads, so a
+    # task submitted to it would never run; the child makes its own pool
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_after_fork)
+
+
+def _finish_rows(finish, rows: int, n: int) -> None:
+    """Run ``finish(lo, hi)`` over [0, rows) of n x n matrices: as up to one
+    contiguous slice per CPU on the shared pool, each of at least
+    ``_SLICE_ENTRIES`` entries, or inline when that makes one slice."""
+    parts = min(_THREADS, rows * n * n // _SLICE_ENTRIES)
+    if parts <= 1:
+        finish(0, rows)
+        return
+    bounds = [rows * p // parts for p in range(parts + 1)]
+    pool = _executor()
+    futures = [pool.submit(finish, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    wait(futures)
+    for f in futures:
+        f.result()
+
+
 def _laguerre_spectra(n: int, k: int, beta: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Sorted, trace-normalized beta-Wishart spectra, in batches.
 
@@ -380,31 +444,47 @@ def _laguerre_spectra(n: int, k: int, beta: int, count: int, rng: np.random.Gene
         return np.ones((count, 1))
     diag_df = beta * (k - np.arange(n))
     sub_df = beta * np.arange(n - 1, 0, -1)
-    i = np.arange(n)
 
-    def eigvals(m: int) -> np.ndarray:
-        d2 = rng.chisquare(diag_df, size=(m, n))
-        e2 = rng.chisquare(sub_df, size=(m, n - 1))
-        # eigvalsh reads only the lower triangle, so the superdiagonal stays 0
+    def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
+        return rng.chisquare(diag_df, size=(m, n)), rng.chisquare(sub_df, size=(m, n - 1))
+
+    def eigvals(d2: np.ndarray, e2: np.ndarray) -> np.ndarray:
+        # eigvalsh reads only the lower triangle, so the superdiagonal stays 0;
+        # the diagonal and subdiagonal are strided views of the flat rows
+        m = d2.shape[0]
         t = np.zeros((m, n, n))
-        t[:, i, i] = d2
-        t[:, i[1:], i[1:]] += e2
-        t[:, i[1:], i[:-1]] = np.sqrt(d2[:, :-1] * e2)
+        flat = t.reshape(m, n * n)
+        flat[:, :: n + 1] = d2
+        flat[:, n + 1 :: n + 1] += e2
+        flat[:, n :: n + 1] = np.sqrt(d2[:, :-1] * e2)
         return np.linalg.eigvalsh(t)
 
-    return _batched_spectra(n, count, max(1, _CHUNK_ENTRIES // (n * n)), eigvals)
+    return _batched_spectra(n, count, max(1, _CHUNK_ENTRIES // (n * n)), draw, eigvals)
 
 
-def _batched_spectra(n: int, count: int, chunk: int, eigvals) -> np.ndarray:
-    """(count, n) spectra from ``eigvals(m)``, the ascending eigenvalues of m
-    random matrices, called on chunks of at most ``chunk`` rows; each row is
-    clipped at 0, trace-normalized and reversed to descending order."""
+def _batched_spectra(n: int, count: int, chunk: int, draw, eigvals) -> np.ndarray:
+    """(count, n) spectra in chunks of at most ``chunk`` rows, in two stages.
+
+    ``draw(m)`` makes one chunk's RNG draws on the calling thread, so the
+    stream is consumed in the same order whatever the CPU count, and returns
+    arrays whose first axis runs over the chunk's m rows. ``eigvals`` maps
+    any contiguous row slice of those arrays to the ascending eigenvalues of
+    its random matrices; it and the clip at 0, trace normalisation and
+    reversal to descending order run per row slice, on every CPU once the
+    chunk is large enough (see :func:`_finish_rows`). Rows are independent,
+    so the output does not depend on how the chunk is sliced.
+    """
     out = np.empty((count, n))
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
-        ev = np.clip(eigvals(stop - start), 0.0, None)
-        ev /= ev.sum(axis=1, keepdims=True)
-        out[start:stop] = ev[:, ::-1]
+        drawn = draw(stop - start)
+
+        def finish(lo: int, hi: int, start=start, drawn=drawn) -> None:
+            ev = np.clip(eigvals(*(a[lo:hi] for a in drawn)), 0.0, None)
+            ev /= ev.sum(axis=1, keepdims=True)
+            out[start + lo : start + hi] = ev[:, ::-1]
+
+        _finish_rows(finish, stop - start, n)
     return out
 
 
@@ -464,17 +544,22 @@ def _bures_spectra(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
         return np.column_stack([0.5 * (1.0 + s), 0.5 * (1.0 - s)])
     i = np.arange(n)
 
-    def eigvals(m: int) -> np.ndarray:
-        a = _haar_unitaries(m, n, rng)
+    def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
+        # the Haar normals, then the Ginibre normals; QR consumes no RNG words
+        haar = rng.standard_normal((2, m, n, n))
+        ginibre = rng.standard_normal((2, m, n, n))
+        return np.moveaxis(haar, 0, 1), np.moveaxis(ginibre, 0, 1)
+
+    def eigvals(haar: np.ndarray, ginibre: np.ndarray) -> np.ndarray:
+        a = _haar_from_ginibre(haar[:, 0] + 1j * haar[:, 1])
         a[:, i, i] += 1.0
-        z = rng.standard_normal((2, m, n, n))
-        a = a @ (z[0] + 1j * z[1])
+        a = a @ (ginibre[:, 0] + 1j * ginibre[:, 1])
         return np.linalg.eigvalsh(a @ np.conj(np.swapaxes(a, 1, 2)))
 
     # each complex n x n batch (Gaussians, Q, R, A, A A^dag) holds 16 bytes
     # an entry, so a chunk of 1/8 the entries keeps the peak near that of
     # _laguerre_spectra's one real batch
-    return _batched_spectra(n, count, max(1, _CHUNK_ENTRIES // (8 * n * n)), eigvals)
+    return _batched_spectra(n, count, max(1, _CHUNK_ENTRIES // (8 * n * n)), draw, eigvals)
 
 
 def _purification_spectra(n: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -4,7 +4,11 @@
 independent substreams, RandomStream(seed, worker_index), and merges the
 partial sums in worker order, so results are bit-reproducible for a fixed
 (seed, workers) pair. Changing ``workers`` repartitions the streams and
-legitimately changes the estimate.
+legitimately changes the estimate. The CPU count does not: each worker's
+``sample_spectra`` call spreads its per-row linear algebra over every CPU
+the process may run on through one shared pool, which the workers queue on
+instead of oversubscribing the CPUs, and its output does not depend on how
+many CPUs there are.
 """
 
 from __future__ import annotations

@@ -449,6 +449,21 @@ def test_induced_moment_domain():
             induced_moment_exact(n, k, nu)
 
 
+@pytest.mark.parametrize("n, k, nu, exact", [
+    # 50-digit mpmath evaluations of the same kernel sum
+    (8, 8, 150.0, 1.3693810124682079e-32),
+    (2, 2, 300.0, 0.019671276933858267),
+    (16, 16, 150.5, 2.6132436984374823e-74),
+    (3, 7, 250.0, 1.3128880183888131e-14),
+    (5, 2, 400.0, 5.3757308056610838e-7),
+    (1, 1000, -999.5, 1.0),
+    (2, 400, -300.0, 2.1047909851682521e135),
+])
+def test_induced_moment_extreme_exponents(n, k, nu, exact):
+    # regression: poch(nk, nu) overflowed or underflowed, giving 0 or NaN
+    assert induced_moment_exact(n, k, nu).value == pytest.approx(exact, rel=1e-13)
+
+
 @pytest.mark.parametrize("n, k, nu", [(3, 5, 1.5), (2, 7, 0.5), (4, 4, 0.3), (3, 2, 0.5)])
 def test_induced_moment_against_mc(n, k, nu):
     from qmeasure import Induced, RandomStream, sample_spectra

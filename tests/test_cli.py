@@ -249,6 +249,8 @@ def test_estimate_exact_values_off_the_diagonal(tmp_path):
         (("induced", "--n", "4", "--k", "2", "--functional", "trace_power", "--nu", "0.5"),
          induced_moment_exact(4, 2, 0.5).value),
         (("bures", "--n", "4", "--functional", "entropy"), bures_mean_entropy_exact(4)),
+        (("hs", "--n", "8", "--functional", "trace_power", "--nu", "150"),
+         induced_moment_exact(8, 8, 150.0).value),
     ]
     for argv, exact in cases:
         code, out = run(tmp_path, "estimate", "--measure", *argv, "--samples", "2000",
@@ -349,6 +351,41 @@ def test_json_floats_have_17_digits(tmp_path):
     parsed = json.loads(record_text)
     # round-trip: re-serializing the parsed mean must preserve the value
     assert float(f"{parsed['mean']:.17g}") == parsed["mean"]
+
+
+_AWKWARD_FLOATS = np.array([
+    [0.0, -0.0, 1.0], [5e-324, 2.2250738585072014e-308, 1e-300],
+    [1.0 / 3.0, 0.1, 1e16], [123456789.123, 1.7976931348623157e308, -2.5e-7],
+])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bulk_table_writer_matches_per_value_path(tmp_path, fmt):
+    from types import SimpleNamespace
+
+    from qmeasure.cli import _emit_table
+
+    columns = ["a", "b", "c"]
+    for rows in (_AWKWARD_FLOATS, _AWKWARD_FLOATS[:1], np.random.default_rng(5).random((50, 3))):
+        bulk, generic = tmp_path / "bulk", tmp_path / "generic"
+        _emit_table(SimpleNamespace(format=fmt, out=str(bulk)), columns, rows)
+        # a list of rows takes the per-value path
+        _emit_table(SimpleNamespace(format=fmt, out=str(generic)), columns, list(rows))
+        assert bulk.read_bytes() == generic.read_bytes()
+
+
+def test_bulk_json_writer_rejects_non_finite(tmp_path):
+    from types import SimpleNamespace
+
+    from qmeasure.cli import _emit_table
+
+    out = tmp_path / "out"
+    for bad in (np.inf, -np.inf, np.nan):
+        rows = _AWKWARD_FLOATS.copy()
+        rows[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            _emit_table(SimpleNamespace(format="json", out=str(out)), ["a", "b", "c"], rows)
+    assert not out.exists()
 
 
 _SIZED_COMMANDS = [

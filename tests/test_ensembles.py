@@ -595,3 +595,86 @@ def test_matrix_batches_are_density_matrices(kind, n, k, s, count, seed):
     assert np.max(np.abs(w - np.conj(np.swapaxes(w, 1, 2)))) <= HERMITIAN_TOL
     assert np.max(np.abs(np.trace(w, axis1=1, axis2=2).real - 1.0)) <= TRACE_TOL
     assert np.min(np.linalg.eigvalsh(w)) >= -EIGENVALUE_CLAMP
+
+
+# ------------------------------------------------- parallel finish stage
+
+def _laguerre_reference(n, k, beta, count, rng):
+    """Reference: the single-stage engine the two-stage split replaced, with
+    the tridiagonal written through fancy indexing."""
+    if k < n:
+        out = np.zeros((count, n))
+        out[:, :k] = _laguerre_reference(k, n, beta, count, rng)
+        return out
+    if n == 1:
+        return np.ones((count, 1))
+    i = np.arange(n)
+    d2 = rng.chisquare(beta * (k - i), size=(count, n))
+    e2 = rng.chisquare(beta * np.arange(n - 1, 0, -1), size=(count, n - 1))
+    t = np.zeros((count, n, n))
+    t[:, i, i] = d2
+    t[:, i[1:], i[1:]] += e2
+    t[:, i[1:], i[:-1]] = np.sqrt(d2[:, :-1] * e2)
+    ev = np.clip(np.linalg.eigvalsh(t), 0.0, None)
+    ev /= ev.sum(axis=1, keepdims=True)
+    return ev[:, ::-1]
+
+
+def _bures_reference(n, count, rng):
+    z = rng.standard_normal((2, count, n, n))
+    a = ensembles._haar_from_ginibre(z[0] + 1j * z[1]) + np.eye(n)
+    z = rng.standard_normal((2, count, n, n))
+    a = a @ (z[0] + 1j * z[1])
+    ev = np.clip(np.linalg.eigvalsh(a @ np.conj(np.swapaxes(a, 1, 2))), 0.0, None)
+    ev /= ev.sum(axis=1, keepdims=True)
+    return ev[:, ::-1]
+
+
+@pytest.mark.parametrize("measure", [
+    Induced(3, 6, 2), Induced(3, 3, 1), Induced(2, 5, 4), Induced(4, 2, 2), Induced(5, 3, 1),
+    Bures(3), Bures(5),
+], ids=repr)
+@pytest.mark.parametrize("chunk_rows", [None, 101])
+def test_pooled_spectra_bit_equal_to_inline(measure, chunk_rows, monkeypatch):
+    bures = isinstance(measure, Bures)
+    sizes = [301]
+    if chunk_rows is not None:
+        # 301 rows then span three chunks
+        n = measure.n if bures else min(measure.n, measure.k)
+        monkeypatch.setattr(ensembles, "_CHUNK_ENTRIES", chunk_rows * (8 if bures else 1) * n * n)
+        sizes = [101, 101, 99]
+    # three slices per chunk whatever the CPU count, down to 1-row slices
+    monkeypatch.setattr(ensembles, "_SLICE_ENTRIES", 1)
+    monkeypatch.setattr(ensembles, "_THREADS", 3)
+    pooled = sample_spectra(measure, 301, RandomStream(64, 5))
+    monkeypatch.setattr(ensembles, "_THREADS", 1)
+    assert np.array_equal(pooled, sample_spectra(measure, 301, RandomStream(64, 5)))
+    rng = RandomStream(64, 5).rng
+    reference = [_bures_reference(measure.n, m, rng) if bures else
+                 _laguerre_reference(measure.n, measure.k, measure.beta, m, rng) for m in sizes]
+    assert np.array_equal(pooled, np.concatenate(reference))
+
+
+def _sample_in_child(queue):
+    spectra = sample_spectra(Induced(3, 6), 50000, RandomStream(66, 1))
+    queue.put(float(spectra.sum()))
+
+
+def test_forked_child_samples_through_its_own_pool(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(ensembles, "_THREADS", 2)  # the pool path on one CPU too
+    sample_spectra(Induced(3, 6), 50000, RandomStream(66, 0))  # the pool now has threads
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_sample_in_child, args=(queue,))
+    child.start()
+    try:
+        total = queue.get(timeout=60)
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert not child.is_alive() and child.exitcode == 0
+    assert total == pytest.approx(50000.0)

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qmeasure import (
     ternary_histogram,
     two_sample_ks,
 )
+from qmeasure import ensembles
 from qmeasure.analytics import radial_density_n2
 from qmeasure.errors import DimensionMismatch, InsufficientData, QuadratureFailure
 from qmeasure.stats import chi2_test, spectrum_functional
@@ -36,6 +38,25 @@ def test_mc_estimate_workers_repartition_streams():
     a = mc_estimate(hilbert_schmidt(2), "purity", 600, workers=2, seed=4)
     b = mc_estimate(hilbert_schmidt(2), "purity", 600, workers=3, seed=4)
     assert a.mean != b.mean
+
+
+def test_mc_estimate_threads_share_the_finish_pool(monkeypatch):
+    # more estimate threads than CPUs race to create the pool and queue
+    # 1-row-minimum slices on it while the interpreter switches threads as
+    # often as it can; a lost or misplaced slice would change the estimate
+    monkeypatch.setattr(ensembles, "_SLICE_ENTRIES", 16)
+    monkeypatch.setattr(ensembles, "_THREADS", 3)
+    monkeypatch.setattr(ensembles, "_pool", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = mc_estimate(hilbert_schmidt(4), "entropy", 6000, workers=8, seed=9)
+    finally:
+        sys.setswitchinterval(interval)
+        if ensembles._pool is not None:
+            ensembles._pool.shutdown()
+    monkeypatch.setattr(ensembles, "_THREADS", 1)
+    assert pooled == mc_estimate(hilbert_schmidt(4), "entropy", 6000, workers=8, seed=9)
 
 
 def test_mc_estimate_hits_reference():
