@@ -349,6 +349,15 @@ def hs_mean_entropy_exact(n: int) -> float:
     return induced_mean_entropy_exact(n, n)
 
 
+def pure_state_mean_entropy_exact(n: int) -> float:
+    """Mean Shannon entropy -sum p_i ln p_i of the squared moduli of a random
+    n-dimensional pure state (uniform on the simplex): psi(n + 1) - psi(2),
+    which is the harmonic number H_n minus 1; ~ ln n - 1 + gamma."""
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    return digamma(n + 1.0) - digamma(2.0)
+
+
 @dataclass(frozen=True)
 class AsymptoticValues:
     moment: float

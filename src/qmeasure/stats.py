@@ -8,7 +8,10 @@ legitimately changes the estimate. The CPU count does not: each worker's
 ``sample_spectra`` call spreads its per-row linear algebra over every CPU
 the process may run on through one shared pool, which the workers queue on
 instead of oversubscribing the CPUs, and its output does not depend on how
-many CPUs there are.
+many CPUs there are. So ``workers`` >= 2 mostly overlaps the workers' RNG
+draws and is not a reliable speed-up (HS(4) entropy at 10^5 samples on 2
+CPUs: 173 ms with 1 worker, 186 ms with 2); streams keyed on fixed-size
+blocks (ROADMAP item 6) would make it one.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 from scipy.special import chdtrc, kolmogorov, xlogy
 
-from .core import TRACE_TOL
+from .core import TRACE_TOL, _row_sums
 from .ensembles import MeasureSpec, RandomStream, sample_spectra
 from .errors import DimensionMismatch, InsufficientData, QuadratureFailure
 
@@ -86,11 +89,11 @@ class TernaryHistogram:
 def spectrum_functional(spectra: np.ndarray, functional: str, nu: float | None = None) -> np.ndarray:
     """Vectorized evaluation of a named functional over (count, n) spectra."""
     if functional == "entropy":
-        return -np.sum(xlogy(spectra, spectra), axis=1)
+        return -_row_sums(xlogy(spectra, spectra))
     if functional == "purity":
-        return np.sum(spectra**2, axis=1)
+        return _row_sums(spectra**2)
     if functional == "participation":
-        return 1.0 / np.sum(spectra**2, axis=1)
+        return 1.0 / _row_sums(spectra**2)
     if functional in ("tangle", "concurrence"):
         if spectra.shape[1] != 2:
             raise DimensionMismatch(f"{functional} needs N=2 spectra")
@@ -99,7 +102,7 @@ def spectrum_functional(spectra: np.ndarray, functional: str, nu: float | None =
     if functional == "trace_power":
         if nu is None:
             raise ValueError("trace_power needs the exponent nu")
-        return np.sum(spectra**nu, axis=1)
+        return _row_sums(spectra**nu)
     raise ValueError(f"unknown functional {functional!r}")
 
 
@@ -210,7 +213,7 @@ def ternary_histogram(spectra, resolution: int) -> TernaryHistogram:
         raise ValueError("spectra must be finite")
     if np.any(arr < 0):
         raise ValueError("spectra must be nonnegative")
-    sums = arr.sum(axis=1)
+    sums = _row_sums(arr)
     off = np.abs(sums - 1.0) > TRACE_TOL
     if np.any(off):
         raise ValueError(f"a spectrum sums to {sums[off][0]!r}, not 1")

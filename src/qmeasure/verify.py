@@ -84,10 +84,9 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def _zcheck(result: CriterionResult, name: str, mean: float, stderr: float, target: float,
-            slack: float = 0.0):
+def _zcheck(result: CriterionResult, name: str, mean: float, stderr: float, target: float):
     z = (mean - target) / stderr if stderr > 0 else math.inf
-    ok = abs(mean - target) <= 3.0 * stderr + slack
+    ok = abs(mean - target) <= 3.0 * stderr
     result.add(name, ok, mean=mean, stderr=stderr, target=target, z=z)
 
 
@@ -295,13 +294,17 @@ def criterion_11(config: BatteryConfig) -> CriterionResult:
 
 
 def criterion_12(config: BatteryConfig) -> CriterionResult:
-    res = CriterionResult(12, "pure-state entropy asymptote, N=64")
+    res = CriterionResult(12, "pure-state mean entropy H_N - 1, N=64")
     moduli = _pure_state_moduli(64, config.samples, _stream(config, 12, 0).rng)
     ent = -np.sum(xlogy(moduli, moduli), axis=1)
     mean, stderr = _mean_stderr(ent)
-    target = math.log(64.0) - 1.0 + EULER_GAMMA
-    # the finite-size residual is O(1/N); 0.02 of slack absorbs it
-    _zcheck(res, "entropy vs ln 64 - 1 + gamma", mean, stderr, target, slack=0.02)
+    _zcheck(res, "entropy vs psi(65) - psi(2)", mean, stderr,
+            analytics.pure_state_mean_entropy_exact(64))
+    # the exact mean lies above the asymptote by O(1/N)
+    gaps = [analytics.pure_state_mean_entropy_exact(n) - (math.log(n) - 1.0 + EULER_GAMMA)
+            for n in (16, 32, 64)]
+    res.add("exact mean approaches ln N - 1 + gamma, N = 16, 32, 64",
+            all(0 < b < a for a, b in zip(gaps, gaps[1:])), gaps=gaps)
     return res
 
 

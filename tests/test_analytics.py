@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import xlogy
 
 from qmeasure import analytics
 from qmeasure.analytics import (
@@ -26,6 +27,7 @@ from qmeasure.analytics import (
     log_bures_norm_constant,
     log_norm_constant,
     n2_reference_means,
+    pure_state_mean_entropy_exact,
     purity_induced_exact,
     radial_cdf_n2,
     radial_density_n2,
@@ -572,6 +574,27 @@ def test_mean_entropy_approaches_asymptote():
     gaps = [abs(hs_mean_entropy_exact(n) - (np.log(n) - 0.5)) for n in (4, 8, 16, 32)]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 0.06
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 64, 1000])
+def test_pure_state_mean_entropy_is_harmonic_number_minus_one(n):
+    from fractions import Fraction
+
+    exact = sum(Fraction(1, j) for j in range(1, n + 1)) - 1
+    assert pure_state_mean_entropy_exact(n) == pytest.approx(float(exact), rel=1e-14, abs=1e-15)
+
+
+def test_pure_state_mean_entropy_against_mc_and_domain():
+    from qmeasure import ensembles
+
+    for n in (2, 5):
+        p = ensembles._pure_state_moduli(n, 40000, np.random.default_rng(n))
+        vals = -np.sum(xlogy(p, p), axis=1)
+        stderr = vals.std(ddof=1) / np.sqrt(vals.size)
+        assert abs(vals.mean() - pure_state_mean_entropy_exact(n)) <= 3 * stderr
+    assert pure_state_mean_entropy_exact(64) == pytest.approx(3.7438909037057684, rel=1e-14)
+    with pytest.raises(DomainError):
+        pure_state_mean_entropy_exact(0)
 
 
 # -------------------------------------------------------------- asymptotics

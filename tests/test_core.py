@@ -14,7 +14,7 @@ from qmeasure import (
     purity_functionals,
     schmidt_spectrum,
 )
-from qmeasure.core import EIGENVALUE_CLAMP, HERMITIAN_TOL
+from qmeasure.core import EIGENVALUE_CLAMP, HERMITIAN_TOL, _row_sums
 from qmeasure.errors import DimensionMismatch, NonConvergence, ZeroMatrix
 
 
@@ -291,6 +291,61 @@ def test_values_are_frozen():
     spec = Spectrum([0.6, 0.4])
     with pytest.raises(ValueError):
         spec.values[0] = 0.0
+
+
+# ----------------------------------------------------------------- _row_sums
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def _adversarial_rows(width):
+    rows = [
+        [1e16] + [1.0] * (width - 1),   # left-to-right and pairwise sums differ from width 8
+        [-0.0] * width,                  # numpy's sum is +0.0
+        [0.0, -0.0] * width,
+        [-0.0, 0.0] * width,
+        [np.inf] + [1.0] * (width - 1),
+        [-np.inf] + [np.inf] * (width - 1),
+        [np.nan] + [-0.0] * (width - 1),
+        [1.0] * (width - 1) + [np.nan],
+        [1e308] * width,
+        [5e-324, -0.0] * width,
+    ]
+    return np.array([r[:width] for r in rows])
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_row_sums_bit_equal_to_numpy(width):
+    rng = np.random.default_rng(width)
+    scales = 10.0 ** rng.integers(-30, 30, size=(2000, width))
+    rows = [rng.standard_normal((2000, width)) * scales, rng.random((2000, width)),
+            _adversarial_rows(width)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a in rows + [np.asfortranarray(a) for a in rows] + [rows[0][::3, ::-1]]:
+            assert _same_bits(_row_sums(a), a.sum(axis=1))
+
+
+def test_row_sums_falls_back_outside_narrow_float64_rows():
+    rng = np.random.default_rng(3)
+    wide = np.array([[1e16] + [1.0] * 7])
+    assert _row_sums(wide)[0] == 1e16 + 6.0  # pairwise: numpy's value, not left to right
+    z = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
+    assert _row_sums(z).dtype == np.complex128
+    assert np.array_equal(_row_sums(z), z.sum(axis=1))
+    f32 = rng.random((50, 3)).astype(np.float32)
+    assert _row_sums(f32).dtype == np.float32
+    assert np.array_equal(_row_sums(f32), f32.sum(axis=1))
+    ints = np.arange(12).reshape(4, 3)
+    assert _row_sums(ints).dtype == ints.sum(axis=1).dtype
+    assert np.array_equal(_row_sums(ints), [3, 12, 21, 30])
+    assert _row_sums(np.empty((4, 0))).shape == (4,)
+    cube = rng.random((4, 3, 2))
+    assert _same_bits(_row_sums(cube), cube.sum(axis=1))
+    with pytest.raises(Exception) as numpy_error:
+        np.arange(3.0).sum(axis=1)
+    with pytest.raises(type(numpy_error.value)):
+        _row_sums(np.arange(3.0))
 
 
 def test_nonconvergence_reports_residual():

@@ -632,7 +632,7 @@ def _bures_reference(n, count, rng):
 
 @pytest.mark.parametrize("measure", [
     Induced(3, 6, 2), Induced(3, 3, 1), Induced(2, 5, 4), Induced(4, 2, 2), Induced(5, 3, 1),
-    Bures(3), Bures(5),
+    Induced(2, 2, 2), Induced(2, 1000, 1), Bures(3), Bures(5),
 ], ids=repr)
 @pytest.mark.parametrize("chunk_rows", [None, 101])
 def test_pooled_spectra_bit_equal_to_inline(measure, chunk_rows, monkeypatch):
@@ -678,3 +678,82 @@ def test_forked_child_samples_through_its_own_pool(monkeypatch):
             child.join()
     assert not child.is_alive() and child.exitcode == 0
     assert total == pytest.approx(50000.0)
+
+
+# ------------------------------------------------------ N = 2 closed form
+
+def _dense_2x2_eigvalsh(d2, e2):
+    """eigvalsh of the dense T = B B^T, written independently of the engine."""
+    t = np.zeros((len(d2), 2, 2))
+    t[:, 0, 0] = d2[:, 0]
+    t[:, 1, 1] = d2[:, 1] + e2[:, 0]
+    t[:, 1, 0] = np.sqrt(d2[:, 0] * e2[:, 0])
+    return np.linalg.eigvalsh(t)
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+@pytest.mark.parametrize("k", [2, 3, 8, 1000])
+def test_eigvals_2x2_bit_equal_to_eigvalsh(beta, k):
+    rng = RandomStream(70 + beta, k).rng
+    rows = 10**6
+    d2 = rng.chisquare(beta * (k - np.arange(2)), size=(rows, 2))
+    e2 = rng.chisquare([beta], size=(rows, 1))
+    assert _same_bits(ensembles._eigvals_2x2(d2, e2), _dense_2x2_eigvalsh(d2, e2))
+
+
+def _dense_route_rows(monkeypatch):
+    """Patch the dense route to record how many rows reach it."""
+    calls = []
+    dense = ensembles._tridiagonal_eigvals
+
+    def recording(d2, e2):
+        calls.append(len(d2))
+        return dense(d2, e2)
+
+    monkeypatch.setattr(ensembles, "_tridiagonal_eigvals", recording)
+    return calls
+
+
+@pytest.mark.parametrize("d2, e2", [
+    ((1.0, 100.0), 1.0),        # |a - c| > 2b
+    ((1.0, 0.5), 1.0),          # |a - c| < 2b
+    ((1.0, 2.0), 1.0),          # |a - c| == 2b: a = 1, c = 3, b = 1
+    ((2.0, 1.0), 1.0),          # a == c
+    ((100.0, 1.0), 1.0),        # |a| > |c|
+    ((1e-119, 2e-119), 3e-119),  # just inside the unscaled range
+    ((1e144, 2e144), 5e143),
+], ids=str)
+def test_eigvals_2x2_dlae2_branches(d2, e2, monkeypatch):
+    d2, e2 = np.array([d2]), np.array([[e2]])
+    calls = _dense_route_rows(monkeypatch)
+    assert _same_bits(ensembles._eigvals_2x2(d2, e2), _dense_2x2_eigvalsh(d2, e2))
+    assert calls == []
+
+
+@pytest.mark.parametrize("d2, e2", [
+    ((1.0, 2.0), 0.0),              # dsterf splits: b = 0
+    ((1.0, 2.0), 1e-300),           # b = 1e-150: dsterf splits
+    # dsterf splits, though b^2 is just too large for its deflation test
+    ((1.528312976721042, 1.925059512745896), 2.3728190466078872e-32),
+    # dsterf deflates b^2, though b is just too large for its split test
+    ((1.3352532350809854, 1.651125184937635), 2.0351689187861147e-32),
+    ((0.0, 0.0), 0.0),              # a + c = 0
+    ((1e-200, 1e-200), 1e-200),     # b underflows to 0
+    ((1e-130, 2e-130), 1e-130),     # dsterf scales up
+    ((1e150, 1e150), 1e150),        # dsyevd scales down
+    ((1e200, 2e200), 1e-200),       # split, and scaled down
+], ids=str)
+def test_eigvals_2x2_sends_other_lapack_paths_to_eigvalsh(d2, e2, monkeypatch):
+    rng = RandomStream(71, 0).rng
+    sampled_d2 = rng.chisquare([6, 4], size=(20000, 2))
+    sampled_e2 = rng.chisquare([2], size=(20000, 1))
+    # the crafted row sits in the second block of rows
+    sampled_d2[9000], sampled_e2[9000] = d2, e2
+    calls = _dense_route_rows(monkeypatch)
+    assert _same_bits(ensembles._eigvals_2x2(sampled_d2, sampled_e2),
+                      _dense_2x2_eigvalsh(sampled_d2, sampled_e2))
+    assert calls == [1]
