@@ -84,39 +84,26 @@ def _write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _emit_table(args, columns: list[str], rows) -> None:
-    """Write a table as CSV (default) or as a JSON columns/rows object.
+def _emit_table(args, columns: list[str], rows: np.ndarray) -> None:
+    """Write a (count, width) float or integer array as CSV (default) or as a
+    JSON columns/rows object.
 
-    A float ndarray is written with one ``%`` format over all its values,
-    which gives the same bytes as the per-value path below in a fraction of
-    the time; other row iterables (such as integer cells) take that path.
+    All values go through one ``%`` format, ``%.17g`` for floats and ``%d``
+    for integers, which gives the same bytes as formatting each value alone
+    in a fraction of the time.
     """
-    as_json = getattr(args, "format", "csv") == "json"
-    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-        count, width = rows.shape
-        values = tuple(rows.ravel().tolist())
-        if as_json:
-            bad = rows[~np.isfinite(rows)]
-            if bad.size:
-                _to_json(bad[0])  # raises the per-value path's ValueError
-            body = ", ".join(["[" + ", ".join(["%.17g"] * width) + "]"] * count) % values
-            _write_text(args.out, f'{{"columns": {_to_json(columns)}, "rows": [{body}]}}\n')
-        else:
-            body = (",".join(["%.17g"] * width) + "\n") * count % values
-            _write_text(args.out, ",".join(columns) + "\n" + body)
-        return
-    if as_json:
-        payload = {"columns": columns, "rows": [list(r) for r in rows]}
-        _write_text(args.out, _to_json(payload) + "\n")
-        return
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(
-            v if isinstance(v, str) else
-            str(v) if isinstance(v, (int, np.integer)) else _fmt_float(v)
-            for v in row
-        ))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    count, width = rows.shape
+    spec = "%d" if rows.dtype.kind in "iu" else "%.17g"
+    values = tuple(rows.ravel().tolist())
+    if getattr(args, "format", "csv") == "json":
+        bad = rows[~np.isfinite(rows)]
+        if bad.size:
+            _to_json(bad[0])  # raises the JSON writer's ValueError
+        body = ", ".join(["[" + ", ".join([spec] * width) + "]"] * count) % values
+        _write_text(args.out, f'{{"columns": {_to_json(columns)}, "rows": [{body}]}}\n')
+    else:
+        body = (",".join([spec] * width) + "\n") * count % values
+        _write_text(args.out, ",".join(columns) + "\n" + body)
 
 
 def _default_seed() -> int:
@@ -289,7 +276,7 @@ def cmd_ternary(args) -> int:
     )
     unordered = np.take_along_axis(spectra, perm, axis=1)
     hist = ternary_histogram(unordered, args.resolution)
-    _emit_table(args, ["bin_i", "bin_j", "count"], hist.cells())
+    _emit_table(args, ["bin_i", "bin_j", "count"], np.array(list(hist.cells()), dtype=np.int64))
     return 0
 
 

@@ -9,11 +9,12 @@ which is how parallel workers stay reproducible.
 Complex Gaussian entries have independent unit-variance real and imaginary
 parts, so E|a|^2 = 2. The overall scale cancels in every normalized output.
 
-:func:`sample_spectra` uses every CPU the process may run on for its per-row
-linear algebra, and its output does not depend on the CPU count: each chunk's
-RNG draws are made on the calling thread in stream order, and only the
-matrix formation, eigensolve and normalisation of independent rows are
-spread over one shared, lazily created thread pool.
+:func:`sample_spectra`, :func:`sample_matrices` and the battery's
+purification route share one batch loop, which uses every CPU the process may
+run on for the per-row linear algebra. Their output does not depend on the
+CPU count: each chunk's RNG draws are made on the calling thread in stream
+order, and only the matrix formation, eigensolve, normalisation and checks of
+independent rows are spread over one shared, lazily created thread pool.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ def haar_unitary(n: int, stream: RandomStream) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return _haar_unitaries(1, n, stream.rng)[0]
+    z = stream.rng.standard_normal((2, n, n))
+    return _haar_from_ginibre((z[0] + 1j * z[1])[None])[0]
 
 
 @dataclass(frozen=True)
@@ -227,26 +229,10 @@ def induced_via_purification(n: int, k: int, stream: RandomStream) -> DensityMat
     return partial_trace(BipartitePureState(psi), side="B")
 
 
-def dirichlet_spectrum(n: int, s: float, stream: RandomStream) -> Spectrum:
-    """Dirichlet(s) point of the simplex: normalized Gamma(s) variates."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not s > 0:
-        raise ValueError(f"need s > 0, got {s}")
-    lam = _dirichlet_rows(n, s, stream.rng, 1)[0]
-    return Spectrum(np.sort(lam)[::-1])
-
-
 def product_measure_density_matrix(n: int, s: float, stream: RandomStream) -> DensityMatrix:
     """Rotationally invariant state with Dirichlet(s) spectrum and Haar
     eigenvectors: the count=1 case of :func:`sample_matrices`."""
     return DensityMatrix(sample_matrices(ProductDirichlet(n, s), 1, stream)[0])
-
-
-def bures_spectrum(n: int, stream: RandomStream) -> Spectrum:
-    """Spectrum under the Bures measure, drawn exactly by the same route as
-    :func:`sample_spectra`."""
-    return Spectrum(_bures_spectra(Bures(n).n, 1, stream.rng)[0])
 
 
 def bures_density_matrix(n: int, stream: RandomStream) -> DensityMatrix:
@@ -255,16 +241,6 @@ def bures_density_matrix(n: int, stream: RandomStream) -> DensityMatrix:
     Zyczkowski, arXiv:0909.5094): the count=1 case of
     :func:`sample_matrices`."""
     return DensityMatrix(sample_matrices(Bures(n), 1, stream)[0])
-
-
-def beta_spectrum(n: int, k: int, beta: int, stream: RandomStream) -> Spectrum:
-    """Induced-measure spectrum for symmetry class beta in {1, 2, 4}, drawn
-    from the same beta-Laguerre bidiagonal engine as :func:`sample_spectra`."""
-    if not 1 <= n <= k:
-        raise ValueError(f"need k >= n >= 1, got n={n}, k={k}")
-    if beta not in (1, 2, 4):
-        raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
-    return Spectrum(_laguerre_spectra(n, k, beta, 1, stream.rng)[0])
 
 
 def rescale_to_simplex(values) -> Spectrum:
@@ -309,7 +285,8 @@ def sample_matrices(measure: MeasureSpec, count: int, stream: RandomStream) -> n
     Matrix i is bit-identical to the i-th of ``count`` successive
     single-matrix draws (``induced_density_matrix`` and its siblings) from
     the same stream: each sample consumes the same RNG words in the same
-    order, only the linear algebra runs on whole chunks.
+    order, and the linear algebra runs on row slices of whole chunks, on
+    every CPU for large calls, with the same bytes on any number of CPUs.
 
     - Induced, beta = 1 or 2: A A^dag / tr(A A^dag) for an n x k real or
       complex Gaussian A. beta = 4 has no matrix-level sampler.
@@ -325,20 +302,24 @@ def sample_matrices(measure: MeasureSpec, count: int, stream: RandomStream) -> n
     rng = stream.rng
     n = measure.n
     cols = n
+    # draw(m) makes one chunk's RNG calls; form(*row_slices) builds those
+    # rows' matrices and consumes no RNG words
     if isinstance(measure, Induced):
         if measure.beta == 4:
             raise ValueError("beta=4 has no matrix-level sampler")
         cols, beta = measure.k, measure.beta
 
-        def draw(m: int) -> np.ndarray:
+        def draw(m: int) -> tuple[np.ndarray]:
             if beta == 2:
-                z = rng.standard_normal((m, 2, n, cols))
-                return _normalized_gram(z[:, 0] + 1j * z[:, 1])
-            return _normalized_gram(rng.standard_normal((m, n, cols)).astype(np.complex128))
+                return (rng.standard_normal((m, 2, n, cols)),)
+            return (rng.standard_normal((m, n, cols)),)
+
+        def form(z: np.ndarray) -> np.ndarray:
+            return _normalized_gram(z[:, 0] + 1j * z[:, 1] if beta == 2 else z.astype(np.complex128))
     elif isinstance(measure, ProductDirichlet):
         s = measure.s
 
-        def draw(m: int) -> np.ndarray:
+        def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
             # Gamma variates take a variable number of RNG words, so the
             # per-sample order (Dirichlet row, then 2 n^2 normals) is kept
             lam = np.empty((m, n))
@@ -346,27 +327,31 @@ def sample_matrices(measure: MeasureSpec, count: int, stream: RandomStream) -> n
             for i in range(m):
                 lam[i] = _dirichlet_rows(n, s, rng, 1)[0]
                 rng.standard_normal(out=z[i])
+            return lam, z
+
+        def form(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
             u = _haar_from_ginibre(z[:, 0] + 1j * z[:, 1])
             u_lam = u * np.sort(lam, axis=1)[:, None, ::-1]
             return u_lam @ np.swapaxes(u.conj(), 1, 2)
     elif isinstance(measure, Bures):
 
-        def draw(m: int) -> np.ndarray:
-            z = rng.standard_normal((m, 4, n, n))
+        def draw(m: int) -> tuple[np.ndarray]:
+            return (rng.standard_normal((m, 4, n, n)),)
+
+        def form(z: np.ndarray) -> np.ndarray:
             u = _haar_from_ginibre(z[:, 0] + 1j * z[:, 1])
             return _normalized_gram((u + np.eye(n)) @ (z[:, 2] + 1j * z[:, 3]))
     else:
         raise TypeError(f"unknown measure spec: {measure!r}")
 
-    out = np.empty((count, n, n), dtype=np.complex128)
-    chunk = max(1, _CHUNK_ENTRIES // (8 * n * max(n, cols)))
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        w = draw(stop - start)
+    def finish(*drawn: np.ndarray) -> np.ndarray:
+        w = form(*drawn)
         w = 0.5 * (w + np.swapaxes(w.conj(), 1, 2))  # scrub roundoff asymmetry
         validate_density_matrices(w)
-        out[start:stop] = w
-    return out
+        return w
+
+    out = np.empty((count, n, n), dtype=np.complex128)
+    return _batched(out, max(1, _CHUNK_ENTRIES // (8 * n * max(n, cols))), draw, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -547,30 +532,42 @@ def _dlae2(d2: np.ndarray, e2: np.ndarray, out: np.ndarray) -> np.ndarray:
         )
 
 
-def _batched_spectra(n: int, count: int, chunk: int, draw, eigvals) -> np.ndarray:
-    """(count, n) spectra in chunks of at most ``chunk`` rows, in two stages.
+def _batched(out: np.ndarray, chunk: int, draw, finish) -> np.ndarray:
+    """Fill the preallocated (count, ..., n) ``out`` in chunks of at most
+    ``chunk`` rows, in two stages.
 
     ``draw(m)`` makes one chunk's RNG draws on the calling thread, so the
     stream is consumed in the same order whatever the CPU count, and returns
-    arrays whose first axis runs over the chunk's m rows. ``eigvals`` maps
-    any contiguous row slice of those arrays to the ascending eigenvalues of
-    its random matrices; it and the clip at 0, trace normalisation and
-    reversal to descending order run per row slice, on every CPU once the
-    chunk is large enough (see :func:`_finish_rows`). Rows are independent,
+    a tuple of arrays whose first axis runs over the chunk's m rows.
+    ``finish`` maps any contiguous row slice of those arrays to the same rows
+    of ``out``; it runs per row slice, on every CPU once the chunk holds
+    enough n x n matrices (see :func:`_finish_rows`). Rows are independent,
     so the output does not depend on how the chunk is sliced.
     """
-    out = np.empty((count, n))
+    count, n = out.shape[0], out.shape[-1]
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
         drawn = draw(stop - start)
 
-        def finish(lo: int, hi: int, start=start, drawn=drawn) -> None:
-            ev = np.clip(eigvals(*(a[lo:hi] for a in drawn)), 0.0, None)
-            ev /= _row_sums(ev)[:, None]
-            out[start + lo : start + hi] = ev[:, ::-1]
+        def rows(lo: int, hi: int, start=start, drawn=drawn) -> None:
+            out[start + lo : start + hi] = finish(*(a[lo:hi] for a in drawn))
 
-        _finish_rows(finish, stop - start, n)
+        _finish_rows(rows, stop - start, n)
     return out
+
+
+def _batched_spectra(n: int, count: int, chunk: int, draw, eigvals) -> np.ndarray:
+    """(count, n) spectra through :func:`_batched`: ``eigvals`` maps a row
+    slice of the drawn arrays to the ascending eigenvalues of its random
+    matrices, which are clipped at 0, trace-normalised and reversed to
+    descending order."""
+
+    def finish(*drawn: np.ndarray) -> np.ndarray:
+        ev = np.clip(eigvals(*drawn), 0.0, None)
+        ev /= _row_sums(ev)[:, None]
+        return ev[:, ::-1]
+
+    return _batched(np.empty((count, n)), chunk, draw, finish)
 
 
 def _dirichlet_rows(n: int, s: float, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -583,12 +580,6 @@ def _dirichlet_rows(n: int, s: float, rng: np.random.Generator, count: int) -> n
         lam[bad] = rng.gamma(s, 1.0, size=(int(bad.sum()), n))
         total = _row_sums(lam)
     return lam / total[:, None]
-
-
-def _haar_unitaries(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """m Haar unitaries of size n x n from 2 m n^2 fresh normals."""
-    z = rng.standard_normal((2, m, n, n))
-    return _haar_from_ginibre(z[0] + 1j * z[1])
 
 
 def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:
@@ -648,22 +639,19 @@ def _bures_spectra(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _purification_spectra(n: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Sorted spectra via the purification route: normalize a Gaussian vector
-    of length n*k, reshape, partial-trace."""
-    out = np.empty((count, n))
-    chunk = max(1, _CHUNK_ENTRIES // (n * k))
-    done = 0
-    while done < count:
-        m = min(chunk, count - done)
-        z = rng.standard_normal((2, m, n * k))
-        v = z[0] + 1j * z[1]
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        psi = v.reshape(m, n, k)
-        w = psi @ np.conj(np.swapaxes(psi, 1, 2))
-        ev = np.clip(np.linalg.eigvalsh(w), 0.0, None)
-        out[done : done + m] = ev[:, ::-1]
-        done += m
-    return out
+    """Sorted spectra via the purification route: reshape a complex Gaussian
+    vector psi of length n*k to n x k and take the eigenvalues of the partial
+    trace psi psi^dag. The engine's trace normalisation stands in for
+    normalising psi, as tr(psi psi^dag) = |psi|^2."""
+
+    def draw(m: int) -> tuple[np.ndarray]:
+        return (np.moveaxis(rng.standard_normal((2, m, n * k)), 0, 1),)
+
+    def eigvals(z: np.ndarray) -> np.ndarray:
+        psi = (z[:, 0] + 1j * z[:, 1]).reshape(-1, n, k)
+        return np.linalg.eigvalsh(psi @ np.conj(np.swapaxes(psi, 1, 2)))
+
+    return _batched_spectra(n, count, max(1, _CHUNK_ENTRIES // (n * k)), draw, eigvals)
 
 
 def _pure_state_moduli(m: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -314,7 +314,7 @@ def test_radial_laws_match_named_closed_forms():
 
 
 def test_radial_induced_cdf_matches_numeric_cdf():
-    from qmeasure.stats import numeric_cdf
+    from oracles import numeric_cdf
 
     r = np.linspace(0.0, 0.5, 1001)
     for k in (3, 4, 5, 9):

@@ -359,6 +359,18 @@ _AWKWARD_FLOATS = np.array([
 ])
 
 
+def _per_value_table(fmt, columns, rows):
+    """Reference: the table written one value at a time."""
+    from qmeasure.cli import _fmt_float, _to_json
+
+    if fmt == "json":
+        return _to_json({"columns": columns, "rows": rows.tolist()}) + "\n"
+    lines = [",".join(columns)]
+    for row in rows.tolist():
+        lines.append(",".join(str(v) if isinstance(v, int) else _fmt_float(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_bulk_table_writer_matches_per_value_path(tmp_path, fmt):
     from types import SimpleNamespace
@@ -366,12 +378,12 @@ def test_bulk_table_writer_matches_per_value_path(tmp_path, fmt):
     from qmeasure.cli import _emit_table
 
     columns = ["a", "b", "c"]
-    for rows in (_AWKWARD_FLOATS, _AWKWARD_FLOATS[:1], np.random.default_rng(5).random((50, 3))):
-        bulk, generic = tmp_path / "bulk", tmp_path / "generic"
-        _emit_table(SimpleNamespace(format=fmt, out=str(bulk)), columns, rows)
-        # a list of rows takes the per-value path
-        _emit_table(SimpleNamespace(format=fmt, out=str(generic)), columns, list(rows))
-        assert bulk.read_bytes() == generic.read_bytes()
+    cells = np.array([[0, 0, 12], [0, 1, -3], [7, 2, 2**62]], dtype=np.int64)
+    for rows in (_AWKWARD_FLOATS, _AWKWARD_FLOATS[:1], np.random.default_rng(5).random((50, 3)),
+                 cells):
+        out = tmp_path / "bulk"
+        _emit_table(SimpleNamespace(format=fmt, out=str(out)), columns, rows)
+        assert out.read_bytes() == _per_value_table(fmt, columns, rows).encode()
 
 
 def test_bulk_json_writer_rejects_non_finite(tmp_path):

@@ -4,15 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeasure import (
+    BipartitePureState,
     Bures,
     HurwitzAngles,
     Induced,
     ProductDirichlet,
     RandomStream,
-    beta_spectrum,
     bures_density_matrix,
-    bures_spectrum,
-    dirichlet_spectrum,
     gaussian_matrix,
     haar_unitary,
     hermitian_eigensystem,
@@ -37,7 +35,9 @@ from qmeasure.ensembles import (
     _dirichlet_rows,
 )
 from qmeasure.errors import ZeroSum
-from qmeasure.stats import chi2_test, numeric_cdf
+from qmeasure.stats import chi2_test
+
+from oracles import numeric_cdf
 
 
 # ------------------------------------------------------------- random stream
@@ -222,8 +222,6 @@ def test_single_draw_routes_agree_in_distribution():
 def test_purification_shares_schmidt_spectrum():
     s = RandomStream(17, 0)
     psi = pure_state_gaussian(6, s).reshape(2, 3)
-    from qmeasure import BipartitePureState
-
     state = BipartitePureState(psi)
     rho_a = partial_trace(state, "B")
     rho_b = partial_trace(state, "A")
@@ -260,14 +258,14 @@ def test_dirichlet_half_matches_chi1_construction():
 
 
 def test_dirichlet_large_s_concentrates():
-    spec = dirichlet_spectrum(4, 1e4, RandomStream(21, 0))
-    assert np.all(np.abs(spec.values - 0.25) < 0.02)
+    spec = sample_spectra(ProductDirichlet(4, 1e4), 1, RandomStream(21, 0))[0]
+    assert np.all(np.abs(spec - 0.25) < 0.02)
 
 
 def test_dirichlet_spectrum_is_sorted():
-    spec = dirichlet_spectrum(5, 1.0, RandomStream(22, 0))
-    assert np.all(np.diff(spec.values) <= 0)
-    assert spec.values.sum() == pytest.approx(1.0)
+    spec = sample_spectra(ProductDirichlet(5, 1.0), 1, RandomStream(22, 0))[0]
+    assert np.all(np.diff(spec) <= 0)
+    assert spec.sum() == pytest.approx(1.0)
 
 
 # ------------------------------------------------------------ product measure
@@ -321,7 +319,7 @@ def test_bures_density_matrix_is_valid():
 def test_bures_samples_at_any_dimension():
     for n, count in [(6, 200), (64, 20)]:
         _assert_valid_rows(sample_spectra(Bures(n), count, RandomStream(29, n)), count, n)
-    assert len(bures_spectrum(64, RandomStream(29, 0))) == 64
+    assert sample_spectra(Bures(64), 1, RandomStream(29, 0)).shape == (1, 64)
     assert bures_density_matrix(64, RandomStream(29, 1)).dim == 64
 
 
@@ -356,7 +354,7 @@ def test_bures_density_matrix_radial_law():
 
 
 def test_bures_scalar():
-    assert bures_spectrum(1, RandomStream(30, 0)).values[0] == 1.0
+    assert sample_spectra(Bures(1), 1, RandomStream(30, 0))[0, 0] == 1.0
 
 
 # -------------------------------------------------------------- beta spectra
@@ -364,7 +362,7 @@ def test_bures_scalar():
 def test_beta2_sorted_marginal_law():
     # sorted lambda_1 of the N=K=2 unitary class has CDF (2x-1)^3 on [1/2, 1]
     stream = RandomStream(31, 0)
-    lam = np.array([beta_spectrum(2, 2, 2, stream).values[0] for _ in range(8000)])
+    lam = np.array([sample_spectra(Induced(2, 2, 2), 1, stream)[0, 0] for _ in range(8000)])
     assert ks_test(lam, lambda x: (2.0 * np.asarray(x) - 1.0) ** 3).p_value > 0.01
 
 
@@ -372,7 +370,7 @@ def test_beta1_marginal_law():
     # folded beta=1 density: 2 * C * (x(1-x))^(-1/2) |2x-1| with C = 1/2
     assert np.exp(log_norm_constant(2, 2, 1)) == pytest.approx(0.5, rel=1e-12)
     stream = RandomStream(32, 0)
-    lam = np.array([beta_spectrum(2, 2, 1, stream).values[0] for _ in range(8000)])
+    lam = np.array([sample_spectra(Induced(2, 2, 1), 1, stream)[0, 0] for _ in range(8000)])
     cdf = numeric_cdf(lambda x: (x * (1.0 - x)) ** -0.5 * abs(2.0 * x - 1.0), 0.5, 1.0)
     assert ks_test(lam, cdf).p_value > 0.01
     # chi-square against the numerically normalized density, binned by CDF
@@ -399,13 +397,6 @@ def test_beta_symmetry_in_n_and_k(beta):
     assert two_sample_ks(wide[:, 1], tall[:, 1]).p_value > 0.01
 
 
-def test_beta_spectrum_validation():
-    with pytest.raises(ValueError):
-        beta_spectrum(3, 2, 2, RandomStream(35, 0))  # needs k >= n
-    with pytest.raises(ValueError):
-        beta_spectrum(2, 2, 3, RandomStream(35, 1))  # bad beta
-
-
 def _assert_valid_rows(spectra, count, n):
     assert spectra.shape == (count, n)
     assert np.all(np.diff(spectra, axis=1) <= 0)
@@ -416,7 +407,7 @@ def _assert_valid_rows(spectra, count, n):
 def test_beta4_samples_at_any_dimension():
     for n, count in [(5, 200), (64, 20)]:
         _assert_valid_rows(sample_spectra(Induced(n, n, 4), count, RandomStream(36, n)), count, n)
-    assert len(beta_spectrum(5, 5, 4, RandomStream(36, 0))) == 5
+    assert sample_spectra(Induced(5, 5, 4), 1, RandomStream(36, 0)).shape == (1, 5)
 
 
 def _quaternion_spectra(n, k, count, rng):
@@ -525,9 +516,9 @@ def _matrices_one_by_one(measure, count, stream):
         if isinstance(measure, Induced):
             rho = project_hs(gaussian_matrix(n, measure.k, measure.beta, stream)).matrix
         elif isinstance(measure, ProductDirichlet):
-            lam = dirichlet_spectrum(n, measure.s, stream)
+            lam = sample_spectra(measure, 1, stream)[0]
             u = haar_unitary(n, stream)
-            w = (u * lam.values) @ u.conj().T
+            w = (u * lam) @ u.conj().T
             rho = 0.5 * (w + w.conj().T)
         else:
             u = haar_unitary(n, stream)
@@ -551,6 +542,10 @@ def test_sample_matrices_bit_equal_to_single_draws(measure, chunk_rows, monkeypa
     batch = sample_matrices(measure, 20, RandomStream(61, 2))
     assert batch.shape == (20, measure.n, measure.n) and batch.dtype == np.complex128
     assert np.array_equal(batch, _matrices_one_by_one(measure, 20, RandomStream(61, 2)))
+    # three slices per chunk whatever the CPU count, down to 1-row slices
+    monkeypatch.setattr(ensembles, "_SLICE_ENTRIES", 1)
+    monkeypatch.setattr(ensembles, "_THREADS", 3)
+    assert np.array_equal(sample_matrices(measure, 20, RandomStream(61, 2)), batch)
 
 
 def test_single_matrix_functions_are_first_batch_rows():
@@ -653,6 +648,26 @@ def test_pooled_spectra_bit_equal_to_inline(measure, chunk_rows, monkeypatch):
     reference = [_bures_reference(measure.n, m, rng) if bures else
                  _laguerre_reference(measure.n, measure.k, measure.beta, m, rng) for m in sizes]
     assert np.array_equal(pooled, np.concatenate(reference))
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 4), (4, 2)])
+@pytest.mark.parametrize("chunk_rows", [None, 101])
+def test_purification_spectra_pooled_and_against_partial_trace(n, k, chunk_rows, monkeypatch):
+    sizes = [301]
+    if chunk_rows is not None:
+        monkeypatch.setattr(ensembles, "_CHUNK_ENTRIES", chunk_rows * n * k)
+        sizes = [101, 101, 99]
+    monkeypatch.setattr(ensembles, "_SLICE_ENTRIES", 1)
+    monkeypatch.setattr(ensembles, "_THREADS", 3)
+    pooled = ensembles._purification_spectra(n, k, 301, RandomStream(65, n).rng)
+    monkeypatch.setattr(ensembles, "_THREADS", 1)
+    assert np.array_equal(pooled, ensembles._purification_spectra(n, k, 301, RandomStream(65, n).rng))
+    # the same normals, chunk by chunk, through the normalised pure state
+    rng = RandomStream(65, n).rng
+    z = np.concatenate([rng.standard_normal((2, m, n * k)) for m in sizes], axis=1)
+    for row, v in zip(pooled, z[0] + 1j * z[1]):
+        rho = partial_trace(BipartitePureState((v / np.linalg.norm(v)).reshape(n, k)), "B")
+        assert np.max(np.abs(row - np.linalg.eigvalsh(rho.matrix)[::-1])) <= 1e-12
 
 
 def _sample_in_child(queue):

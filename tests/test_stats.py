@@ -14,7 +14,6 @@ from qmeasure import (
     histogram_1d,
     ks_test,
     mc_estimate,
-    numeric_cdf,
     participation_ratio,
     sample_spectra,
     ternary_histogram,
@@ -24,6 +23,8 @@ from qmeasure import ensembles
 from qmeasure.analytics import radial_density_n2
 from qmeasure.errors import DimensionMismatch, InsufficientData, QuadratureFailure
 from qmeasure.stats import chi2_test, spectrum_functional
+
+from oracles import numeric_cdf
 
 
 # ---------------------------------------------------------------- mc_estimate
@@ -299,3 +300,18 @@ def test_numeric_cdf_bures_singular_endpoint():
 def test_numeric_cdf_rejects_unnormalized():
     with pytest.raises(QuadratureFailure):
         numeric_cdf(lambda x: 1.0, 0.0, 2.0)
+
+
+def test_import_loads_no_quadrature():
+    import os
+    import subprocess
+
+    import qmeasure
+
+    src = os.path.dirname(os.path.dirname(qmeasure.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, qmeasure; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.interpolate'))))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout.strip() == "[]"
