@@ -6,11 +6,17 @@ seed (flag ``--seed``, falling back to the QMEASURE_SEED environment variable)
 and, for estimates, the worker count. CSV output uses '.' decimals, LF line
 endings and UTF-8; JSON numbers carry 17 significant digits so they
 round-trip exactly.
+
+The defaults ``DEFAULT_SEED``, ``DEFAULT_SAMPLES`` and ``QUICK_SAMPLES`` come
+from :mod:`qmeasure.stats`. ``analytics`` and ``verify`` are imported inside
+the commands that use them, so ``sample`` and ``ternary`` load no scipy
+module; ``main`` builds its argument parser once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,7 +25,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import analytics
 from .ensembles import (
     Bures,
     Induced,
@@ -30,14 +35,13 @@ from .ensembles import (
     sample_spectra,
 )
 from .errors import QMeasureError
-from .stats import mc_estimate, participation_ratio, ternary_histogram
-from .verify import (
+from .stats import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     QUICK_SAMPLES,
-    BatteryConfig,
-    format_line,
-    run_battery,
+    mc_estimate,
+    participation_ratio,
+    ternary_histogram,
 )
 
 _ENV_SEED = "QMEASURE_SEED"
@@ -171,6 +175,8 @@ def _matrix_columns(n: int) -> list[str]:
 
 
 def _exact_value(measure: MeasureSpec, functional: str, nu: Optional[float]) -> Optional[float]:
+    from . import analytics
+
     if isinstance(measure, Induced) and measure.beta == 2:
         n, k = measure.n, measure.k
         if functional == "purity":
@@ -253,6 +259,8 @@ def _radial_selector(measure: MeasureSpec) -> tuple[str, Optional[int]]:
 
 
 def cmd_density(args) -> int:
+    from . import analytics
+
     measure = _build_measure(args)
     name, k = _radial_selector(measure)
     if args.bins < 1:
@@ -281,6 +289,8 @@ def cmd_ternary(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import BatteryConfig, format_line, run_battery
+
     seed = args.seed if args.seed is not None else _default_seed()
     samples = args.samples if args.samples is not None else (
         QUICK_SAMPLES if args.quick else DEFAULT_SAMPLES
@@ -361,10 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each add_argument queries the terminal size, so main builds its parser once
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

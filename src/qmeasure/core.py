@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DimensionMismatch, NonConvergence, ZeroMatrix
 
@@ -223,6 +222,8 @@ def schmidt_spectrum(psi: BipartitePureState) -> Spectrum:
 
 def entropy(s: Spectrum) -> float:
     """Von Neumann entropy -sum(lambda ln lambda) in nats, with 0 ln 0 = 0."""
+    from scipy.special import xlogy
+
     return float(-np.sum(xlogy(s.values, s.values)))
 
 

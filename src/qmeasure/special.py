@@ -14,7 +14,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln, psi
 
 from .errors import DomainError
@@ -89,6 +88,8 @@ def gauss_laguerre_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(f"need count >= 1, got {count}")
     if count == 1:
         return np.array([1.0]), np.array([1.0])
+    from scipy.linalg import eigh_tridiagonal
+
     k = np.arange(count)
     # Jacobi matrix of the monic Laguerre recurrence.
     x = eigh_tridiagonal(2.0 * k + 1.0, np.arange(1.0, count), eigvals_only=True)

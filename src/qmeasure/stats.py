@@ -12,6 +12,11 @@ many CPUs there are. So ``workers`` >= 2 mostly overlaps the workers' RNG
 draws and is not a reliable speed-up (HS(4) entropy at 10^5 samples on 2
 CPUs: 173 ms with 1 worker, 186 ms with 2); streams keyed on fixed-size
 blocks (ROADMAP item 6) would make it one.
+
+The command-line defaults ``DEFAULT_SEED``, ``DEFAULT_SAMPLES`` and
+``QUICK_SAMPLES`` live here; ``verify`` and ``cli`` read them from this module.
+scipy.special is imported inside the functions that compute with it, so
+importing this module (and the package) loads numpy only.
 """
 
 from __future__ import annotations
@@ -21,11 +26,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import chdtrc, kolmogorov, xlogy
 
 from .core import TRACE_TOL, _row_sums
 from .ensembles import MeasureSpec, RandomStream, sample_spectra
 from .errors import DimensionMismatch, InsufficientData
+
+DEFAULT_SEED = 1
+DEFAULT_SAMPLES = 100_000
+QUICK_SAMPLES = 10_000
 
 FUNCTIONALS = ("entropy", "purity", "participation", "tangle", "concurrence", "trace_power")
 
@@ -87,6 +95,8 @@ class TernaryHistogram:
 def spectrum_functional(spectra: np.ndarray, functional: str, nu: float | None = None) -> np.ndarray:
     """Vectorized evaluation of a named functional over (count, n) spectra."""
     if functional == "entropy":
+        from scipy.special import xlogy
+
         return -_row_sums(xlogy(spectra, spectra))
     if functional == "purity":
         return _row_sums(spectra**2)
@@ -229,6 +239,8 @@ def ternary_histogram(spectra, resolution: int) -> TernaryHistogram:
 
 
 def _ks_p_value(statistic: float, effective_n: float) -> float:
+    from scipy.special import kolmogorov
+
     en = np.sqrt(effective_n)
     return float(kolmogorov((en + 0.12 + 0.11 / en) * statistic))
 
@@ -268,6 +280,8 @@ def two_sample_ks(a, b) -> GofResult:
 def chi2_test(observed, expected) -> GofResult:
     """Pearson chi-square test; expected counts are rescaled to the observed
     total and every expected bin must be at least 5."""
+    from scipy.special import chdtrc
+
     obs = np.asarray(observed, dtype=np.float64).ravel()
     exp = np.asarray(expected, dtype=np.float64).ravel()
     if obs.size != exp.size:

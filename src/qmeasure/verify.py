@@ -29,6 +29,9 @@ from .ensembles import (
 )
 from .special import EULER_GAMMA
 from .stats import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    QUICK_SAMPLES,
     chi2_test,
     ks_test,
     mc_estimate,
@@ -36,10 +39,6 @@ from .stats import (
     ternary_histogram,
     two_sample_ks,
 )
-
-DEFAULT_SEED = 1
-DEFAULT_SAMPLES = 100_000
-QUICK_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -235,7 +234,7 @@ def criterion_8(config: BatteryConfig) -> CriterionResult:
     res.add("unit mass (3,3,beta=2)", abs(mass33 - 1.0) <= 1e-6, mass=mass33)
     const = analytics.bures_norm_constant(3)
     target = 35.0 / math.pi
-    res.add("Bures N=3 constant vs 35/pi", abs(const - target) <= 0.02 * target,
+    res.add("Bures N=3 constant vs 35/pi", abs(const - target) <= 1e-12 * target,
             constant=const, target=target)
     return res
 

@@ -297,6 +297,32 @@ def test_env_seed_default(tmp_path, monkeypatch):
     assert via_env.read_bytes() == via_flag.read_bytes()
 
 
+def test_main_reuses_one_parser_without_leaking_flags(tmp_path, monkeypatch):
+    from qmeasure.cli import build_parser
+    from qmeasure.stats import DEFAULT_SEED
+
+    monkeypatch.delenv("QMEASURE_SEED", raising=False)
+    sample = ["sample", "--measure", "hs", "--n", "3", "--samples", "20", "--seed", "5"]
+    runs = [sample + ["--format", "json"], sample,
+            ["estimate", "--measure", "hs", "--n", "2", "--functional", "purity",
+             "--samples", "200"],
+            sample + ["--format", "json"]]
+    outputs = []
+    for i, argv in enumerate(runs):
+        code, out = run(tmp_path, *argv, name=f"{i}.out")
+        assert code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[3] == outputs[0]
+    # the CSV call got neither the JSON format nor other values of the first call
+    as_json = json.loads(outputs[0])["rows"]
+    assert outputs[1].startswith(b"lambda_1,lambda_2,lambda_3\n")
+    assert np.array_equal(np.loadtxt(tmp_path / "1.out", delimiter=",", skiprows=1), as_json)
+    # nor did the estimate get the samples' seed or count
+    record = json.loads(outputs[2])
+    assert (record["seed"], record["count"], record["workers"]) == (DEFAULT_SEED, 200, 1)
+    assert build_parser() is not build_parser()
+
+
 def test_verify_quick(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["verify", "--quick", "--seed", "1", "--out", str(out)])

@@ -302,7 +302,9 @@ def test_numeric_cdf_rejects_unnormalized():
         numeric_cdf(lambda x: 1.0, 0.0, 2.0)
 
 
-def test_import_loads_no_quadrature():
+def _fresh_python(code: str, *args: str) -> str:
+    """stdout of ``code`` run with ``args`` in a new interpreter that imports
+    this package's sources."""
     import os
     import subprocess
 
@@ -310,8 +312,56 @@ def test_import_loads_no_quadrature():
 
     src = os.path.dirname(os.path.dirname(qmeasure.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, qmeasure; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.interpolate'))))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": path})
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+# prints [step, exit code, scipy modules loaded after the step] per step
+_SCIPY_AFTER_EACH_STEP = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+steps = []
+import qmeasure
+steps.append(["import qmeasure", 0, scipy_modules()])
+from qmeasure import cli
+steps.append(["import qmeasure.cli", 0, scipy_modules()])
+for argv in (
+    ["sample", "--measure", "hs", "--n", "3", "--samples", "5"],
+    ["sample", "--measure", "induced", "--n", "3", "--k", "6", "--samples", "5", "--matrices"],
+    ["sample", "--measure", "bures", "--n", "2", "--samples", "5", "--matrices"],
+    ["ternary", "--measure", "induced", "--n", "3", "--k", "6", "--samples", "50"],
+    ["estimate", "--measure", "hs", "--n", "4", "--functional", "entropy", "--samples", "200"],
+):
+    code = cli.main(argv + ["--out", sys.argv[1]])
+    steps.append([" ".join(argv), code, scipy_modules()])
+print(json.dumps(steps))
+"""
+
+
+def test_import_loads_no_quadrature(tmp_path):
+    import json
+
+    steps = json.loads(_fresh_python(_SCIPY_AFTER_EACH_STEP, str(tmp_path / "out.txt")))
+    assert [code for _, code, _ in steps] == [0] * 7
+    for name, _, modules in steps[:-1]:
+        assert modules == [], name
+    estimate = steps[-1][2]
+    assert "scipy.special" in estimate
+    assert not [m for m in estimate if m.startswith(("scipy.integrate", "scipy.linalg"))]
+
+
+def test_first_scipy_import_on_two_worker_threads():
+    from qmeasure import hilbert_schmidt, mc_estimate
+
+    # the two workers of the fresh process import scipy.special together
+    code = ("import sys\n"
+            "from qmeasure import hilbert_schmidt, mc_estimate\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "est = mc_estimate(hilbert_schmidt(4), 'entropy', 2000, workers=2, seed=7)\n"
+            "print(est.mean.hex(), est.stderr.hex(), est.count)")
+    est = mc_estimate(hilbert_schmidt(4), "entropy", 2000, workers=2, seed=7)
+    assert _fresh_python(code) == f"{est.mean.hex()} {est.stderr.hex()} {est.count}"
