@@ -8,12 +8,11 @@ their buffers, after which instances are safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence, ZeroMatrix
+from .errors import DimensionMismatch, ZeroMatrix
 
 # Construction tolerances, sized for double precision at dimensions <= 64.
 HERMITIAN_TOL = 1e-10
@@ -138,31 +137,6 @@ class Spectrum:
         return iter(self.values)
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Spectrum plus the unitary of eigenvectors, column i matching value i."""
-
-    spectrum: Spectrum
-    vectors: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        u = as_complex_matrix(self.vectors)
-        n = len(self.spectrum)
-        if u.shape != (n, n):
-            raise DimensionMismatch(f"eigenvector matrix shape {u.shape} != ({n}, {n})")
-        if np.max(np.abs(u.conj().T @ u - np.eye(n))) > HERMITIAN_TOL:
-            raise ValueError("eigenvector matrix is not unitary within tolerance")
-        object.__setattr__(self, "vectors", _freeze(u))
-
-
-def _clamped_spectrum(values: np.ndarray) -> Spectrum:
-    """Sort descending and clamp eigenvalue roundoff into [0, 1]."""
-    v = np.sort(np.asarray(values, dtype=np.float64))[::-1]
-    if v[-1] < -EIGENVALUE_CLAMP:
-        raise ValueError(f"eigenvalue {v[-1]!r} below clamp tolerance")
-    return Spectrum(np.clip(v, 0.0, 1.0))
-
-
 def project_hs(a) -> DensityMatrix:
     """Project a nonzero matrix A onto density matrices via A A^dag / tr(A A^dag)."""
     m = as_complex_matrix(a)
@@ -193,66 +167,14 @@ def partial_trace(psi: BipartitePureState, side: str = "B") -> DensityMatrix:
     return DensityMatrix(w)
 
 
-def hermitian_eigensystem(rho: DensityMatrix) -> EigenSystem:
-    """Eigendecomposition with descending eigenvalues.
-
-    Ties keep the LAPACK output order. Eigenvector phases are arbitrary, and
-    for degenerate eigenvalues any unitary diagonalizer may be returned.
-    """
-    try:
-        values, vectors = np.linalg.eigh(rho.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    residual = np.max(np.abs((vectors * values) @ vectors.conj().T - rho.matrix))
-    if residual > HERMITIAN_TOL:
-        raise NonConvergence(f"reconstruction residual {residual:.3e} exceeds tolerance")
-    return EigenSystem(_clamped_spectrum(values), vectors)
+def density_spectrum(rho: DensityMatrix) -> Spectrum:
+    """Eigenvalues of ``rho`` sorted descending and clipped into [0, 1]; the
+    clip only removes roundoff, as ``DensityMatrix`` has already rejected
+    eigenvalues below -EIGENVALUE_CLAMP of the same frozen matrix."""
+    return Spectrum(np.clip(np.linalg.eigvalsh(rho.matrix)[::-1], 0.0, 1.0))
 
 
 def schmidt_spectrum(psi: BipartitePureState) -> Spectrum:
     """Squared Schmidt coefficients: the min(n, k) positive eigenvalues shared
     by both reductions of the state."""
-    eig = hermitian_eigensystem(partial_trace(psi, side="B"))
-    keep = min(psi.n, psi.k)
-    return Spectrum(eig.spectrum.values[:keep])
-
-
-def entropy(s: Spectrum) -> float:
-    """Von Neumann entropy -sum(lambda ln lambda) in nats, with 0 ln 0 = 0."""
-    from scipy.special import xlogy
-
-    return float(-np.sum(xlogy(s.values, s.values)))
-
-
-def purity_functionals(s: Spectrum) -> tuple[float, float]:
-    """Return (purity, participation) = (sum lambda^2, 1 / sum lambda^2)."""
-    p = float(np.sum(s.values**2))
-    return p, 1.0 / p
-
-
-class N2Entanglement(NamedTuple):
-    r: float
-    alpha: float
-    tangle: float
-    concurrence: float
-
-
-def n2_entanglement(s: Spectrum) -> N2Entanglement:
-    """Bloch radius, Schmidt angle, tangle and concurrence of a length-2 spectrum.
-
-    r = (l1 - l2)/2 in [0, 1/2], alpha = arccos(sqrt(l1)) in [0, pi/4],
-    tangle = 4 l1 l2 and concurrence = sqrt(tangle).
-    """
-    if len(s) != 2:
-        raise DimensionMismatch(f"need a length-2 spectrum, got {len(s)}")
-    l1, l2 = s.values
-    tangle = 4.0 * l1 * l2
-    return N2Entanglement(
-        r=0.5 * (l1 - l2),
-        alpha=float(np.arccos(min(1.0, np.sqrt(l1)))),
-        tangle=tangle,
-        concurrence=float(np.sqrt(tangle)),
-    )
+    return Spectrum(density_spectrum(partial_trace(psi)).values[: min(psi.n, psi.k)])

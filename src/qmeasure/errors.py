@@ -9,16 +9,8 @@ class ZeroMatrix(QMeasureError):
     """Matrix has (numerically) zero norm and cannot be projected."""
 
 
-class ZeroSum(QMeasureError):
-    """Nonnegative values sum to zero and cannot be rescaled."""
-
-
 class DimensionMismatch(QMeasureError):
     """Input has the wrong dimension for the requested operation."""
-
-
-class NonConvergence(QMeasureError):
-    """An iterative solver failed or left an unacceptable residual."""
 
 
 class DomainError(QMeasureError):

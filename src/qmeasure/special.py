@@ -35,18 +35,6 @@ def digamma(x: float) -> float:
     return float(psi(x))
 
 
-def laguerre(m: int, x):
-    """Laguerre polynomial L_m evaluated at x (scalar or array)."""
-    if m < 0:
-        raise DomainError(f"laguerre requires m >= 0, got {m}")
-    x = np.asarray(x, dtype=np.float64)
-    lm1 = np.zeros_like(x)
-    l = np.ones_like(x)
-    for j in range(m):
-        lm1, l = l, ((2 * j + 1 - x) * l - j * lm1) / (j + 1)
-    return l if l.ndim else float(l)
-
-
 def laguerre_sum_sq(nmax: int, x):
     """Kernel sum_{m < nmax} L_m(x)^2, evaluated in one recurrence sweep."""
     if nmax < 1:

@@ -1,4 +1,6 @@
-"""Monte Carlo estimation, histogramming and goodness-of-fit tests.
+"""Spectrum functionals, Monte Carlo estimation, ternary histograms and
+goodness-of-fit tests. ``spectrum_functional`` defines each functional once;
+``entropy``, ``purity_functionals`` and ``n2_entanglement`` evaluate it on one row.
 
 ``mc_estimate`` fans the requested sample count out over ``workers``
 independent substreams, RandomStream(seed, worker_index), and merges the
@@ -11,7 +13,7 @@ instead of oversubscribing the CPUs, and its output does not depend on how
 many CPUs there are. So ``workers`` >= 2 mostly overlaps the workers' RNG
 draws and is not a reliable speed-up (HS(4) entropy at 10^5 samples on 2
 CPUs: 173 ms with 1 worker, 186 ms with 2); streams keyed on fixed-size
-blocks (ROADMAP item 6) would make it one.
+blocks (ROADMAP item 7) would make it one.
 
 The command-line defaults ``DEFAULT_SEED``, ``DEFAULT_SAMPLES`` and
 ``QUICK_SAMPLES`` live here; ``verify`` and ``cli`` read them from this module.
@@ -23,19 +25,17 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import TRACE_TOL, _row_sums
+from .core import TRACE_TOL, Spectrum, _row_sums
 from .ensembles import MeasureSpec, RandomStream, sample_spectra
 from .errors import DimensionMismatch, InsufficientData
 
 DEFAULT_SEED = 1
 DEFAULT_SAMPLES = 100_000
 QUICK_SAMPLES = 10_000
-
-FUNCTIONALS = ("entropy", "purity", "participation", "tangle", "concurrence", "trace_power")
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,6 @@ class GofResult:
     p_value: float
     kind: str
     dof: int | None = None
-
-
-@dataclass(frozen=True)
-class Histogram1D:
-    lo: float
-    hi: float
-    counts: np.ndarray
-    underflow: int
-    overflow: int
 
 
 @dataclass(frozen=True)
@@ -114,8 +105,38 @@ def spectrum_functional(spectra: np.ndarray, functional: str, nu: float | None =
     raise ValueError(f"unknown functional {functional!r}")
 
 
-def functional_label(functional: str, nu: float | None = None) -> str:
-    return f"trace_power({nu:g})" if functional == "trace_power" else functional
+def entropy(s: Spectrum) -> float:
+    """Von Neumann entropy -sum(lambda ln lambda) in nats, with 0 ln 0 = 0."""
+    return float(spectrum_functional(s.values[None], "entropy")[0])
+
+
+def purity_functionals(s: Spectrum) -> tuple[float, float]:
+    """Return (purity, participation) = (sum lambda^2, 1 / sum lambda^2)."""
+    p = float(spectrum_functional(s.values[None], "purity")[0])
+    return p, 1.0 / p
+
+
+class N2Entanglement(NamedTuple):
+    r: float
+    alpha: float
+    tangle: float
+    concurrence: float
+
+
+def n2_entanglement(s: Spectrum) -> N2Entanglement:
+    """Bloch radius, Schmidt angle, tangle and concurrence of a length-2 spectrum.
+
+    r = (l1 - l2)/2 in [0, 1/2], alpha = arccos(sqrt(l1)) in [0, pi/4],
+    tangle = 4 l1 l2 and concurrence = sqrt(tangle).
+    """
+    tangle = float(spectrum_functional(s.values[None], "tangle")[0])
+    l1, l2 = s.values
+    return N2Entanglement(
+        r=0.5 * (l1 - l2),
+        alpha=float(np.arccos(min(1.0, np.sqrt(l1)))),
+        tangle=tangle,
+        concurrence=float(np.sqrt(tangle)),
+    )
 
 
 def mc_estimate(
@@ -161,8 +182,8 @@ def mc_estimate(
         s2 += b
     mean = s1 / total
     var = max(s2 - total * mean * mean, 0.0) / (total - 1)
-    return Estimate(mean, float(np.sqrt(var / total)), total,
-                    functional_label(functional, nu), measure)
+    label = f"trace_power({nu:g})" if functional == "trace_power" else functional
+    return Estimate(mean, float(np.sqrt(var / total)), total, label, measure)
 
 
 def participation_ratio(purity_estimate: Estimate) -> Estimate:
@@ -178,23 +199,6 @@ def participation_ratio(purity_estimate: Estimate) -> Estimate:
         functional="participation_ratio",
         measure=purity_estimate.measure,
     )
-
-
-def histogram_1d(values, lo: float, hi: float, bins: int) -> Histogram1D:
-    """Fixed-width histogram on [lo, hi); out-of-range values land in the
-    underflow/overflow sentinels (hi itself counts as overflow)."""
-    if bins < 1:
-        raise ValueError(f"need bins >= 1, got {bins}")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi})")
-    v = np.asarray(values, dtype=np.float64).ravel()
-    under = int(np.count_nonzero(v < lo))
-    over = int(np.count_nonzero(v >= hi))
-    inside = v[(v >= lo) & (v < hi)]
-    idx = np.floor((inside - lo) / (hi - lo) * bins).astype(np.int64)
-    np.clip(idx, 0, bins - 1, out=idx)
-    counts = np.bincount(idx, minlength=bins)
-    return Histogram1D(lo, hi, counts, under, over)
 
 
 def ternary_histogram(spectra, resolution: int) -> TernaryHistogram:

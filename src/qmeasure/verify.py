@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
-from scipy.special import xlogy
 
 from . import analytics
 from .ensembles import (
@@ -295,8 +294,7 @@ def criterion_11(config: BatteryConfig) -> CriterionResult:
 def criterion_12(config: BatteryConfig) -> CriterionResult:
     res = CriterionResult(12, "pure-state mean entropy H_N - 1, N=64")
     moduli = _pure_state_moduli(64, config.samples, _stream(config, 12, 0).rng)
-    ent = -np.sum(xlogy(moduli, moduli), axis=1)
-    mean, stderr = _mean_stderr(ent)
+    mean, stderr = _mean_stderr(spectrum_functional(moduli, "entropy"))
     _zcheck(res, "entropy vs psi(65) - psi(2)", mean, stderr,
             analytics.pure_state_mean_entropy_exact(64))
     # the exact mean lies above the asymptote by O(1/N)

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeasure.analytics import (
     bures_mean_entropy_exact,
@@ -219,6 +224,13 @@ def test_config_errors_exit_2(tmp_path):
                   "--beta", "4", "--samples", "5", "--matrices")
     assert code == 2
     assert main(["sample", "--measure", "wat"]) == 2
+    # Dirichlet exponents that cannot be sampled: inf gave NaN rows, and
+    # 1e-300 underflows every Gamma variate, so the redraw never ended
+    for s in ("inf", "1e-300"):
+        code, out = run(tmp_path, "sample", "--measure", "product", "--n", "2",
+                        "--s", s, "--samples", "5")
+        assert code == 2
+        assert not out.exists()
 
 
 def test_estimate_bures_purity_exact_at_any_n(tmp_path):
@@ -450,3 +462,49 @@ def test_non_positive_sizes_exit_2(tmp_path, capsys, name, argv, flag, size):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+_FLOATS = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -0.0, -1.0, 1e-300, 5e-324, 1e-5, 0.5, 1.0, 3.0, 1e308,
+                     float("inf"), float("-inf"), float("nan")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    command=st.sampled_from(["sample", "matrices", "estimate", "density", "ternary"]),
+    measure=st.sampled_from(["induced", "hs", "product", "bures"]),
+    functional=st.sampled_from(["entropy", "purity", "participation", "participation_ratio",
+                                "tangle", "concurrence", "trace_power"]),
+    beta=st.sampled_from([1, 2, 4]),
+    n=st.integers(-1, 4),
+    k=st.one_of(st.none(), st.integers(-1, 4)),
+    samples=st.integers(-1, 200),
+    s=_FLOATS,
+    nu=_FLOATS,
+    workers=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**16),
+)
+def test_cli_exit_codes_are_0_or_2(command, measure, functional, beta, n, k, samples, s, nu,
+                                   workers, seed):
+    argv = ["sample" if command == "matrices" else command, "--measure", measure,
+            "--n", str(n), "--beta", str(beta), "--seed", str(seed), "--out", os.devnull]
+    if k is not None:
+        argv += ["--k", str(k)]
+    if s is not None:
+        argv.append(f"--s={s!r}")  # "=" keeps "-inf" from reading as a flag
+    if command in ("sample", "matrices", "estimate", "ternary"):
+        argv += ["--samples", str(samples)]
+    if command == "matrices":
+        argv.append("--matrices")
+    if command == "estimate":
+        argv += ["--functional", functional, "--workers", str(workers)]
+        if nu is not None:
+            argv.append(f"--nu={nu!r}")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()

@@ -1,21 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeasure import (
     BipartitePureState,
     DensityMatrix,
     RandomStream,
     Spectrum,
+    density_spectrum,
     entropy,
-    hermitian_eigensystem,
     n2_entanglement,
     partial_trace,
     project_hs,
     purity_functionals,
     schmidt_spectrum,
 )
-from qmeasure.core import EIGENVALUE_CLAMP, HERMITIAN_TOL, _row_sums
-from qmeasure.errors import DimensionMismatch, NonConvergence, ZeroMatrix
+from qmeasure.core import EIGENVALUE_CLAMP, HERMITIAN_TOL, TRACE_TOL, _row_sums
+from qmeasure.errors import DimensionMismatch, ZeroMatrix
 
 
 def bell_state():
@@ -58,7 +60,7 @@ def test_project_hs_matches_singular_values():
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         sv = np.linalg.svd(a, compute_uv=False)
         expected = np.sort(sv**2 / np.sum(sv**2))[::-1]
-        got = hermitian_eigensystem(project_hs(a)).spectrum.values
+        got = density_spectrum(project_hs(a)).values
         assert np.allclose(got, expected, atol=1e-10)
 
 
@@ -119,43 +121,47 @@ def test_partial_trace_bad_side():
         partial_trace(bell_state(), "C")
 
 
-# -------------------------------------------------- hermitian_eigensystem
+# ----------------------------------------------------------- density_spectrum
 
 def test_eigensystem_diagonal():
-    eig = hermitian_eigensystem(DensityMatrix(np.diag([0.7, 0.3])))
-    assert np.allclose(eig.spectrum.values, [0.7, 0.3])
-    assert np.allclose(np.abs(eig.vectors), np.eye(2))
+    assert np.allclose(density_spectrum(DensityMatrix(np.diag([0.7, 0.3]))).values, [0.7, 0.3])
 
 
 def test_eigensystem_rank_one_projector():
-    eig = hermitian_eigensystem(DensityMatrix(np.full((2, 2), 0.5)))
-    assert np.allclose(eig.spectrum.values, [1.0, 0.0], atol=1e-12)
+    spec = density_spectrum(DensityMatrix(np.full((2, 2), 0.5)))
+    assert np.allclose(spec.values, [1.0, 0.0], atol=1e-12)
+    assert spec.values[-1] >= 0.0  # roundoff below 0 is clipped
 
 
 def test_eigensystem_degenerate():
-    eig = hermitian_eigensystem(DensityMatrix(np.eye(3) / 3))
-    assert np.allclose(eig.spectrum.values, [1 / 3] * 3)
-    u = eig.vectors
-    assert np.allclose(u.conj().T @ u, np.eye(3), atol=1e-12)
-
-
-def test_eigensystem_reconstruction_roundtrip():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    rho = project_hs(a)
-    eig = hermitian_eigensystem(rho)
-    rebuilt = (eig.vectors * eig.spectrum.values) @ eig.vectors.conj().T
-    assert np.max(np.abs(rebuilt - rho.matrix)) <= HERMITIAN_TOL
-    again = hermitian_eigensystem(DensityMatrix(rebuilt))
-    assert np.allclose(again.spectrum.values, eig.spectrum.values, atol=1e-12)
+    assert np.allclose(density_spectrum(DensityMatrix(np.eye(3) / 3)).values, [1 / 3] * 3)
 
 
 def test_eigensystem_descending_order():
     rng = np.random.default_rng(12)
     for _ in range(5):
         rho = project_hs(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-        v = hermitian_eigensystem(rho).spectrum.values
+        v = density_spectrum(rho).values
         assert np.all(np.diff(v) <= 0)
+
+
+def _assert_simplex_point(values, n):
+    assert values.shape == (n,)
+    assert np.all(np.diff(values) <= 0)
+    assert np.all(values >= 0)
+    assert abs(values.sum() - 1.0) <= TRACE_TOL
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 6), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_density_and_schmidt_spectra_are_simplex_points(n, k, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    psi = BipartitePureState(v / np.linalg.norm(v))
+    _assert_simplex_point(density_spectrum(partial_trace(psi, "B")).values, n)
+    _assert_simplex_point(density_spectrum(partial_trace(psi, "A")).values, k)
+    _assert_simplex_point(density_spectrum(project_hs(v)).values, n)
+    _assert_simplex_point(schmidt_spectrum(psi).values, min(n, k))
 
 
 # ------------------------------------------------------------ schmidt_spectrum
@@ -346,20 +352,3 @@ def test_row_sums_falls_back_outside_narrow_float64_rows():
         np.arange(3.0).sum(axis=1)
     with pytest.raises(type(numpy_error.value)):
         _row_sums(np.arange(3.0))
-
-
-def test_nonconvergence_reports_residual():
-    rho = DensityMatrix(np.diag([0.6, 0.4]))
-    bad = EigenProxy(rho.matrix)
-    with pytest.raises(NonConvergence):
-        hermitian_eigensystem(bad)
-
-
-class EigenProxy:
-    """Density-matrix stand-in whose buffer mutates after validation, forcing
-    a reconstruction-residual failure."""
-
-    def __init__(self, matrix):
-        m = np.array(matrix, dtype=complex)
-        m[0, 1] = 0.5  # break Hermiticity after the fact
-        self.matrix = m

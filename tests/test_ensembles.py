@@ -11,9 +11,9 @@ from qmeasure import (
     ProductDirichlet,
     RandomStream,
     bures_density_matrix,
+    density_spectrum,
     gaussian_matrix,
     haar_unitary,
-    hermitian_eigensystem,
     induced_density_matrix,
     induced_via_purification,
     ks_test,
@@ -22,7 +22,6 @@ from qmeasure import (
     project_hs,
     pure_state_gaussian,
     pure_state_hurwitz,
-    rescale_to_simplex,
     sample_matrices,
     sample_spectra,
     two_sample_ks,
@@ -31,10 +30,11 @@ from qmeasure import ensembles
 from qmeasure.analytics import log_norm_constant, radial_cdf_n2
 from qmeasure.core import EIGENVALUE_CLAMP, HERMITIAN_TOL, TRACE_TOL
 from qmeasure.ensembles import (
+    DIRICHLET_S_MIN,
+    DIRICHLET_TOTAL_MAX,
     hurwitz_angles,
     _dirichlet_rows,
 )
-from qmeasure.errors import ZeroSum
 from qmeasure.stats import chi2_test
 
 from oracles import numeric_cdf
@@ -211,10 +211,10 @@ def test_single_draw_routes_agree_in_distribution():
     m = 4000
     s1, s2 = RandomStream(40, 0), RandomStream(40, 1)
     a = np.array(
-        [hermitian_eigensystem(induced_density_matrix(2, 2, 2, s1)).spectrum.values[0] for _ in range(m)]
+        [density_spectrum(induced_density_matrix(2, 2, 2, s1)).values[0] for _ in range(m)]
     )
     b = np.array(
-        [hermitian_eigensystem(induced_via_purification(2, 2, s2)).spectrum.values[0] for _ in range(m)]
+        [density_spectrum(induced_via_purification(2, 2, s2)).values[0] for _ in range(m)]
     )
     assert two_sample_ks(a, b).p_value > 0.01
 
@@ -433,18 +433,6 @@ def test_beta4_matches_quaternion_construction(n, k):
 
 # ---------------------------------------------------------------- rescaling
 
-def test_rescale_simple_values():
-    assert np.allclose(rescale_to_simplex([2.0, 2.0]).values, [0.5, 0.5])
-    assert np.allclose(rescale_to_simplex([3.0, 1.0]).values, [0.75, 0.25])
-
-
-def test_rescale_rejects_bad_input():
-    with pytest.raises(ZeroSum):
-        rescale_to_simplex([0.0, 0.0])
-    with pytest.raises(ValueError):
-        rescale_to_simplex([1.0, -0.5])
-
-
 def test_rescaled_uniform_pair_law():
     # the larger rescaled component has CDF (2y-1)/y on [1/2, 1]
     u = RandomStream(37, 0).rng.random((20000, 2))
@@ -477,6 +465,15 @@ def test_measure_spec_validation():
         Induced(2, 2, 5)
     with pytest.raises(ValueError):
         ProductDirichlet(2, 0.0)
+    # inf gave NaN rows; below DIRICHLET_S_MIN the all-underflow redraw takes
+    # over (at 1e-300 it never ends); past DIRICHLET_TOTAL_MAX / n the Gamma
+    # total overflows
+    for s in (np.inf, np.nan, 1e-300, 0.99 * DIRICHLET_S_MIN, DIRICHLET_TOTAL_MAX):
+        with pytest.raises(ValueError):
+            ProductDirichlet(2, s)
+    ProductDirichlet(1, DIRICHLET_TOTAL_MAX)
+    spectra = sample_spectra(ProductDirichlet(2, DIRICHLET_S_MIN), 1000, RandomStream(3, 0))
+    _assert_valid_rows(spectra, 1000, 2)
     with pytest.raises(ValueError):
         Bures(0)
 

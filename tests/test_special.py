@@ -7,34 +7,23 @@ from qmeasure.special import (
     EULER_GAMMA,
     digamma,
     gauss_laguerre_nodes,
-    laguerre,
     laguerre_sum_sq,
     log_gamma,
 )
 
 
-def test_laguerre_low_orders():
-    x = np.linspace(0.0, 10.0, 7)
-    assert np.allclose(laguerre(0, x), 1.0)
-    assert np.allclose(laguerre(1, x), 1.0 - x)
-    # L_2 = 1 - 2x + x^2/2 by hand
-    assert np.allclose(laguerre(2, x), 1.0 - 2.0 * x + 0.5 * x**2)
-
-
-def test_laguerre_matches_scipy():
-    x = np.linspace(0.0, 30.0, 50)
-    for m in (3, 7, 12, 20):
-        assert np.allclose(laguerre(m, x), eval_laguerre(m, x), rtol=1e-10, atol=1e-10)
-
-
 def test_laguerre_sum_sq_consistent():
     x = np.linspace(0.0, 20.0, 25)
-    direct = sum(eval_laguerre(m, x) ** 2 for m in range(6))
-    assert np.allclose(laguerre_sum_sq(6, x), direct, rtol=1e-10)
-
-
-def test_laguerre_scalar_input():
-    assert laguerre(1, 2.0) == pytest.approx(-1.0)
+    # L_0 = 1, L_1 = 1 - x and L_2 = 1 - 2x + x^2/2 by hand
+    by_hand = 1.0 + (1.0 - x) ** 2 + (1.0 - 2.0 * x + 0.5 * x**2) ** 2
+    assert np.allclose(laguerre_sum_sq(3, x), by_hand, rtol=1e-12)
+    x = np.linspace(0.0, 30.0, 50)
+    for nmax in (6, 21):
+        direct = sum(eval_laguerre(m, x) ** 2 for m in range(nmax))
+        assert np.allclose(laguerre_sum_sq(nmax, x), direct, rtol=1e-10)
+    assert laguerre_sum_sq(2, 2.0) == pytest.approx(2.0)  # scalar: 1 + L_1(2)^2
+    with pytest.raises(DomainError):
+        laguerre_sum_sq(0, x)
 
 
 def test_log_gamma_values():

@@ -7,14 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeasure import (
+    Bures,
     Induced,
     ProductDirichlet,
     RandomStream,
+    Spectrum,
+    entropy,
     hilbert_schmidt,
-    histogram_1d,
     ks_test,
     mc_estimate,
+    n2_entanglement,
     participation_ratio,
+    purity_functionals,
     sample_spectra,
     ternary_histogram,
     two_sample_ks,
@@ -108,27 +112,28 @@ def test_spectrum_functional_validation():
         spectrum_functional(spectra, "median")
 
 
-# ---------------------------------------------------------------- histograms
-
-def test_histogram_uniform_fill():
-    rng = np.random.default_rng(1)
-    n, bins = 100000, 20
-    h = histogram_1d(rng.random(n), 0.0, 1.0, bins)
-    assert h.counts.sum() == n and h.underflow == 0 and h.overflow == 0
-    sigma = np.sqrt(n * (1 / bins) * (1 - 1 / bins))
-    assert np.all(np.abs(h.counts - n / bins) <= 4 * sigma)
+def _bits(x) -> int:
+    return int(np.float64(x).view(np.uint64))
 
 
-def test_histogram_single_value_and_empty():
-    h = histogram_1d([0.31], 0.0, 1.0, 10)
-    assert h.counts[3] == 1 and h.counts.sum() == 1
-    h = histogram_1d([], 0.0, 1.0, 5)
-    assert np.all(h.counts == 0)
-
-
-def test_histogram_overflow_sentinels():
-    h = histogram_1d([-0.5, 0.5, 1.0, 2.0], 0.0, 1.0, 4)
-    assert h.underflow == 1 and h.overflow == 2 and h.counts.sum() == 1
+@pytest.mark.parametrize("measure", [Induced(2, 2), Induced(5, 5), Induced(12, 12), Bures(3),
+                                     ProductDirichlet(4, 0.5)], ids=repr)
+def test_single_spectrum_functionals_are_batch_rows(measure):
+    spectra = sample_spectra(measure, 500, RandomStream(23, 0))
+    batch = {f: spectrum_functional(spectra, f)
+             for f in ("entropy", "purity", "participation")}
+    if measure.n == 2:
+        batch.update((f, spectrum_functional(spectra, f)) for f in ("tangle", "concurrence"))
+    for i, row in enumerate(spectra):
+        s = Spectrum(row)
+        assert _bits(entropy(s)) == _bits(batch["entropy"][i])
+        purity, participation = purity_functionals(s)
+        assert _bits(purity) == _bits(batch["purity"][i])
+        assert _bits(participation) == _bits(batch["participation"][i])
+        if measure.n == 2:
+            e = n2_entanglement(s)
+            assert _bits(e.tangle) == _bits(batch["tangle"][i])
+            assert _bits(e.concurrence) == _bits(batch["concurrence"][i])
 
 
 # ------------------------------------------------------------------- ternary
