@@ -9,8 +9,10 @@ round-trip exactly.
 
 The defaults ``DEFAULT_SEED``, ``DEFAULT_SAMPLES`` and ``QUICK_SAMPLES`` come
 from :mod:`qmeasure.stats`. ``analytics`` and ``verify`` are imported inside
-the commands that use them, so ``sample`` and ``ternary`` load no scipy
-module; ``main`` builds its argument parser once per process.
+the commands that use them, ``analytics`` by ``estimate`` only when a closed
+form applies, so ``sample``, ``ternary`` and an ``estimate`` without an exact
+value load no scipy module; ``main`` builds its argument parser once per
+process.
 """
 
 from __future__ import annotations
@@ -175,42 +177,39 @@ def _matrix_columns(n: int) -> list[str]:
 
 
 def _exact_value(measure: MeasureSpec, functional: str, nu: Optional[float]) -> Optional[float]:
-    from . import analytics
-
+    """The closed-form mean of ``functional`` under ``measure``, or None where
+    there is none. ``analytics``, and with it scipy.special, is imported only
+    once a closed form applies; a value outside its domain raises."""
+    form = None
     if isinstance(measure, Induced) and measure.beta == 2:
         n, k = measure.n, measure.k
-        if functional == "purity":
-            return analytics.purity_induced_exact(n, k)
-        if functional == "participation_ratio":
-            return 1.0 / analytics.purity_induced_exact(n, k)
-        if functional == "entropy":
-            return analytics.induced_mean_entropy_exact(n, k)
-        if functional == "trace_power" and nu is not None:
-            return analytics.induced_moment_exact(n, k, nu).value
-        if n == 2 and k == 2:
-            if functional == "tangle":
-                return 0.4
-            if functional == "concurrence":
-                return 3.0 * math.pi / 16.0
+        if n == 2 and k == 2 and functional in ("tangle", "concurrence"):
+            return 0.4 if functional == "tangle" else 3.0 * math.pi / 16.0
+        form = {
+            "purity": lambda a: a.purity_induced_exact(n, k),
+            "participation_ratio": lambda a: 1.0 / a.purity_induced_exact(n, k),
+            "entropy": lambda a: a.induced_mean_entropy_exact(n, k),
+            "trace_power": lambda a: a.induced_moment_exact(n, k, nu).value,
+        }.get(functional)
+    elif isinstance(measure, Bures):
+        n = measure.n
+        form = {
+            "entropy": lambda a: a.bures_mean_entropy_exact(n),
+            "purity": lambda a: a.bures_purity_exact(n),
+            "participation_ratio": lambda a: 1.0 / a.bures_purity_exact(n),
+        }.get(functional)
+    elif isinstance(measure, ProductDirichlet) and measure.n == 2 and measure.s in (1.0, 0.5):
+        name = "unitary" if measure.s == 1.0 else "orthogonal"
+        form = {
+            "entropy": lambda a: a.n2_reference_means(name).mean_entropy,
+            "purity": lambda a: a.n2_reference_means(name).mean_purity,
+            "participation_ratio": lambda a: a.n2_reference_means(name).participation,
+        }.get(functional)
+    if form is None or (functional == "trace_power" and nu is None):
         return None
-    if isinstance(measure, Bures):
-        if functional == "entropy":
-            return analytics.bures_mean_entropy_exact(measure.n)
-        if functional in ("purity", "participation_ratio"):
-            purity = analytics.bures_purity_exact(measure.n)
-            return purity if functional == "purity" else 1.0 / purity
-        return None
-    name = None
-    if isinstance(measure, ProductDirichlet) and measure.n == 2:
-        name = {1.0: "unitary", 0.5: "orthogonal"}.get(measure.s)
-    if name is None:
-        return None
-    ref = analytics.n2_reference_means(name)
-    return {
-        "entropy": ref.mean_entropy,
-        "purity": ref.mean_purity,
-        "participation_ratio": ref.participation,
-    }.get(functional)
+    from . import analytics
+
+    return form(analytics)
 
 
 def cmd_estimate(args) -> int:
@@ -218,6 +217,8 @@ def cmd_estimate(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.functional == "trace_power" and args.nu is None:
         raise ValueError("--functional trace_power requires --nu")
+    # before sampling, so an exponent outside the closed form's domain fails fast
+    exact = _exact_value(measure, args.functional, args.nu)
     if args.functional == "participation_ratio":
         est = participation_ratio(
             mc_estimate(measure, "purity", args.samples, args.workers, seed)
@@ -225,7 +226,6 @@ def cmd_estimate(args) -> int:
     else:
         est = mc_estimate(measure, args.functional, args.samples, args.workers, seed,
                           nu=args.nu)
-    exact = _exact_value(measure, args.functional, args.nu)
     z = (est.mean - exact) / est.stderr if exact is not None and est.stderr > 0 else None
     record = {
         "measure": _measure_json(measure),

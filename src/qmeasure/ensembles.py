@@ -269,8 +269,7 @@ def sample_spectra(measure: MeasureSpec, count: int, stream: RandomStream) -> np
     if isinstance(measure, Induced):
         return _laguerre_spectra(measure.n, measure.k, measure.beta, count, rng)
     if isinstance(measure, ProductDirichlet):
-        lam = _dirichlet_rows(measure.n, measure.s, rng, count)
-        return -np.sort(-lam, axis=1)
+        return _sort_rows_descending(_dirichlet_rows(measure.n, measure.s, rng, count))
     if isinstance(measure, Bures):
         return _bures_spectra(measure.n, count, rng)
     raise TypeError(f"unknown measure spec: {measure!r}")
@@ -579,6 +578,32 @@ def _dirichlet_rows(n: int, s: float, rng: np.random.Generator, count: int) -> n
         lam[bad] = rng.gamma(s, 1.0, size=(int(bad.sum()), n))
         total = _row_sums(lam)
     return lam / total[:, None]
+
+
+# Rows up to this wide are sorted by a compare-exchange network of column
+# maximum/minimum pairs instead of np.sort. On 8e4 Dirichlet rows (2 CPUs,
+# best of 7, two sessions) the network took 0.3 against 4.4-5.1 ms at n = 2,
+# 1.1-1.3 against 3.6-5.2 ms at n = 3 and 2.3-2.4 against 3.7-5.7 ms at
+# n = 4; at n = 5 it won one session and lost the other, and from n = 6 it
+# lost (15 against 8 ms at n = 7).
+_SORT_NETWORK_WIDTH = 4
+
+
+def _sort_rows_descending(x: np.ndarray) -> np.ndarray:
+    """``-np.sort(-x, axis=1)`` with the same bytes for a (count, n) float
+    array free of NaN and -0.0. Rows up to ``_SORT_NETWORK_WIDTH`` wide are
+    sorted in place by an insertion network; each compare-exchange puts
+    the larger of two columns first and copies, never computes, a value."""
+    n = x.shape[1]
+    if n > _SORT_NETWORK_WIDTH:
+        return -np.sort(-x, axis=1)
+    cols = list(x.T)
+    for i in range(1, n):
+        for j in range(i, 0, -1):
+            hi = np.maximum(cols[j - 1], cols[j])
+            np.minimum(cols[j - 1], cols[j], out=cols[j])
+            cols[j - 1][...] = hi
+    return x
 
 
 def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:

@@ -17,7 +17,9 @@ blocks (ROADMAP item 7) would make it one.
 
 The command-line defaults ``DEFAULT_SEED``, ``DEFAULT_SAMPLES`` and
 ``QUICK_SAMPLES`` live here; ``verify`` and ``cli`` read them from this module.
-scipy.special is imported inside the functions that compute with it, so
+Sampling, every spectrum functional (the entropy included, through a numpy
+x ln x kernel) and ``mc_estimate`` use numpy alone. Only the goodness-of-fit
+p-values import scipy.special, inside the functions that need it, so
 importing this module (and the package) loads numpy only.
 """
 
@@ -83,12 +85,23 @@ class TernaryHistogram:
                 yield i, j, int(self.counts[i, j])
 
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x ln x entry-wise as float64, with 0 ln 0 = 0 (a zero of either sign),
+    NaN for NaN and negative entries, and inf for +inf: the values of scipy's
+    ``xlogy(x, x)``, from numpy alone. numpy's vectorised ``log`` may round
+    the last bit differently from the C library's ``log`` that ``xlogy``
+    calls, so a row sum can differ from the ``xlogy`` one by an ulp or two."""
+    out = np.zeros(x.shape)
+    with np.errstate(invalid="ignore"):  # negative entries give NaN silently
+        np.log(x, out=out, where=x != 0)
+    out *= x
+    return out
+
+
 def spectrum_functional(spectra: np.ndarray, functional: str, nu: float | None = None) -> np.ndarray:
     """Vectorized evaluation of a named functional over (count, n) spectra."""
     if functional == "entropy":
-        from scipy.special import xlogy
-
-        return -_row_sums(xlogy(spectra, spectra))
+        return -_row_sums(_xlogx(spectra))
     if functional == "purity":
         return _row_sums(spectra**2)
     if functional == "participation":

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,26 @@ def test_estimate_exact_values_off_the_diagonal(tmp_path):
                         "--seed", "3")
         assert code == 0
         assert json.loads(out.read_text())["exact"] == exact
+
+
+def test_estimate_checks_nu_before_sampling(capsys, monkeypatch):
+    # the exponent's domain is checked before any sample is drawn, so no
+    # overflow warning from the Monte Carlo reaches stderr
+    from qmeasure import cli
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("estimate sampled before checking nu")
+
+    monkeypatch.setattr(cli, "mc_estimate", no_sampling)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["estimate", "--measure", "hs", "--n", "3", "--functional", "trace_power",
+                     "--nu=-1e308", "--samples", "100000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert caught == []
+    assert captured.out == ""
+    assert captured.err == "error: need nu > -1 at n=3, k=3, got -1e+308\n"
 
 
 _NON_FINITE_ESTIMATES = [

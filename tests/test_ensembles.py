@@ -503,6 +503,37 @@ def test_bures_rows_are_spectra(n, count, seed):
     _assert_valid_rows(sample_spectra(Bures(n), count, RandomStream(seed, 0)), count, n)
 
 
+_SORT_VALUES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.25, 0.5, 1.0, np.inf]),
+    st.floats(min_value=0.0, allow_nan=False, allow_subnormal=True),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    n=st.integers(1, 8),
+    data=st.data(),
+)
+def test_sort_rows_descending_matches_np_sort(n, data):
+    # ties, zeros and subnormals: the compare-exchange network (rows up to
+    # _SORT_NETWORK_WIDTH wide) and np.sort give the same bytes
+    count = data.draw(st.integers(1, 20))
+    rows = data.draw(st.lists(st.lists(_SORT_VALUES, min_size=n, max_size=n),
+                              min_size=count, max_size=count))
+    x = np.array(rows, dtype=np.float64).reshape(count, n)
+    x[x == 0.0] = 0.0  # the network's contract excludes -0.0
+    expected = -np.sort(-x, axis=1)
+    assert ensembles._sort_rows_descending(x.copy()).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_product_spectra_are_sorted_dirichlet_rows(n):
+    for s in (0.5, 1.0):
+        spectra = sample_spectra(ProductDirichlet(n, s), 3000, RandomStream(29, n))
+        rows = ensembles._dirichlet_rows(n, s, RandomStream(29, n).rng, 3000)
+        assert spectra.tobytes() == (-np.sort(-rows, axis=1)).tobytes()
+
+
 # ------------------------------------------------------------ batched matrices
 
 def _matrices_one_by_one(measure, count, stream):

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,56 @@ def test_single_spectrum_functionals_are_batch_rows(measure):
             e = n2_entanglement(s)
             assert _bits(e.tangle) == _bits(batch["tangle"][i])
             assert _bits(e.concurrence) == _bits(batch["concurrence"][i])
+
+
+def test_entropy_of_exact_zeros_is_zero():
+    # 0 ln 0 = 0: a pure Bures(2) row and the zero padding of k < n rows
+    pure = np.array([[1.0, 0.0], [1.0, -0.0], [0.5, 0.5]])
+    assert spectrum_functional(pure, "entropy").tolist() == [0.0, 0.0, np.log(2.0)]
+    assert entropy(Spectrum([1.0, 0.0])) == 0.0
+    padded = sample_spectra(Induced(4, 2), 2000, RandomStream(24, 0))
+    assert np.all(padded[:, 2:] == 0.0)
+    ent = spectrum_functional(padded, "entropy")
+    assert np.array_equal(ent, spectrum_functional(np.ascontiguousarray(padded[:, :2]),
+                                                   "entropy"))
+    assert np.all((ent >= 0.0) & (ent <= np.log(2.0)))
+
+
+def test_entropy_special_values_follow_xlogy():
+    from scipy.special import xlogy
+
+    from qmeasure.stats import _xlogx
+
+    x = np.array([[0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.5, 1.0, 3.0],
+                  [np.nan, -1.0, -5e-324, np.inf, -np.inf, 1e300, 0.25, 0.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ours = _xlogx(x)
+        rows = spectrum_functional(x, "entropy")
+    assert caught == []  # negative entries give NaN silently, as in xlogy
+    ref = xlogy(x, x)
+    assert np.array_equal(np.isnan(ours), np.isnan(ref))
+    assert np.array_equal(ours[~np.isnan(ref)], ref[~np.isnan(ref)])
+    assert np.isnan(rows).tolist() == [False, True]
+    assert rows[0] == -np.sum(ref[0])
+    # a row of zeros of either sign has the entropy -(+0.0), as with xlogy
+    for zeros in ([[0.0, -0.0], [-0.0, -0.0]], [[-0.0] * 8, [0.0] * 8]):
+        ent = spectrum_functional(np.array(zeros), "entropy")
+        assert ent.tobytes() == np.full(2, -0.0).tobytes()
+
+
+@pytest.mark.parametrize("measure", [Induced(2, 2), Induced(3, 3), Induced(4, 4),
+                                     Induced(8, 8), Bures(3), ProductDirichlet(3, 0.5)],
+                         ids=repr)
+def test_entropy_within_4_ulps_of_xlogy(measure):
+    # numpy's vectorised log and the C library's log (which xlogy calls) may
+    # round the last bit differently, so rows may differ by a few ulps
+    from scipy.special import xlogy
+
+    spectra = sample_spectra(measure, 100_000, RandomStream(25, 0))
+    ref = -np.sum(xlogy(spectra, spectra), axis=1)
+    ours = spectrum_functional(spectra, "entropy")
+    assert np.all(np.abs(ours - ref) <= 4 * np.spacing(np.abs(ref)))
 
 
 # ------------------------------------------------------------------- ternary
@@ -339,6 +390,8 @@ for argv in (
     ["sample", "--measure", "induced", "--n", "3", "--k", "6", "--samples", "5", "--matrices"],
     ["sample", "--measure", "bures", "--n", "2", "--samples", "5", "--matrices"],
     ["ternary", "--measure", "induced", "--n", "3", "--k", "6", "--samples", "50"],
+    ["estimate", "--measure", "product", "--n", "3", "--s", "1", "--functional", "entropy",
+     "--samples", "200"],
     ["estimate", "--measure", "hs", "--n", "4", "--functional", "entropy", "--samples", "200"],
 ):
     code = cli.main(argv + ["--out", sys.argv[1]])
@@ -351,7 +404,7 @@ def test_import_loads_no_quadrature(tmp_path):
     import json
 
     steps = json.loads(_fresh_python(_SCIPY_AFTER_EACH_STEP, str(tmp_path / "out.txt")))
-    assert [code for _, code, _ in steps] == [0] * 7
+    assert [code for _, code, _ in steps] == [0] * 8
     for name, _, modules in steps[:-1]:
         assert modules == [], name
     estimate = steps[-1][2]
@@ -359,14 +412,35 @@ def test_import_loads_no_quadrature(tmp_path):
     assert not [m for m in estimate if m.startswith(("scipy.integrate", "scipy.linalg"))]
 
 
-def test_first_scipy_import_on_two_worker_threads():
-    from qmeasure import hilbert_schmidt, mc_estimate
+# samples spectra and matrices under every measure kind, evaluates every
+# functional, runs the entropy estimate with 1 and 2 workers, and prints the
+# estimates' bits and the scipy modules then loaded
+_NUMPY_ONLY_PATHS = """
+import json, sys
+from qmeasure import (Bures, Induced, ProductDirichlet, RandomStream, hilbert_schmidt,
+                      mc_estimate, sample_matrices, sample_spectra)
+from qmeasure.stats import spectrum_functional
 
-    # the two workers of the fresh process import scipy.special together
-    code = ("import sys\n"
-            "from qmeasure import hilbert_schmidt, mc_estimate\n"
-            "assert 'scipy.special' not in sys.modules\n"
-            "est = mc_estimate(hilbert_schmidt(4), 'entropy', 2000, workers=2, seed=7)\n"
-            "print(est.mean.hex(), est.stderr.hex(), est.count)")
-    est = mc_estimate(hilbert_schmidt(4), "entropy", 2000, workers=2, seed=7)
-    assert _fresh_python(code) == f"{est.mean.hex()} {est.stderr.hex()} {est.count}"
+for measure in (Induced(2, 2), Induced(3, 5, 1), Induced(2, 3, 4), Bures(2), Bures(3),
+                ProductDirichlet(2, 0.5)):
+    spectra = sample_spectra(measure, 50, RandomStream(1, 0))
+    for functional in ("entropy", "purity", "participation", "tangle", "concurrence"):
+        if measure.n == 2 or functional not in ("tangle", "concurrence"):
+            spectrum_functional(spectra, functional)
+    spectrum_functional(spectra, "trace_power", 1.5)
+    if measure != Induced(2, 3, 4):
+        sample_matrices(measure, 5, RandomStream(1, 1))
+ests = [mc_estimate(hilbert_schmidt(4), "entropy", 2000, workers=w, seed=7) for w in (1, 2)]
+print(json.dumps([[e.mean.hex(), e.stderr.hex(), e.count] for e in ests]
+                 + [sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
+"""
+
+
+def test_sampling_and_entropy_estimates_load_no_scipy():
+    import json
+
+    *fresh, modules = json.loads(_fresh_python(_NUMPY_ONLY_PATHS))
+    assert modules == []
+    for (mean, stderr, count), workers in zip(fresh, (1, 2)):
+        est = mc_estimate(hilbert_schmidt(4), "entropy", 2000, workers=workers, seed=7)
+        assert [mean, stderr, count] == [est.mean.hex(), est.stderr.hex(), est.count]
