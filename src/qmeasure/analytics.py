@@ -5,6 +5,12 @@ the (N-1)-dimensional simplex (the trace delta is already eliminated) and
 describe unordered eigenvalues; comparisons against descending-sorted samples
 must multiply by N!. All normalization constants are assembled in log space
 so they stay finite at any dimension. Every exact value is a closed form.
+
+Functions take a measure's parameters, never its name: the N = 2 radial laws
+take the Beta parameters (a, b) of u = (l1 - l2)^2. Which closed form belongs
+to which measure is answered by the measure specs of
+:mod:`qmeasure.ensembles` (``exact_mean``, ``radial_law``), which import this
+module only when a closed form applies.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 from scipy.special import betainc, gamma, poch
 
 from .errors import DomainError, QuadratureFailure
-from .special import EULER_GAMMA, digamma, gauss_laguerre_nodes, laguerre_sum_sq, log_gamma
+from .special import digamma, gauss_laguerre_nodes, laguerre_sum_sq, log_gamma
 
 _QUAD_NODES_SMOOTH = 128       # plenty for polynomial integrands (integer nu)
 _QUAD_NODES_SINGULAR = 1024    # non-integer nu: x^nu has a weak singularity at 0
@@ -38,27 +44,6 @@ class MomentReport:
             raise ValueError(f"moment must be positive for nu > 0, got {self.value!r}")
         if self.nu == 1 and abs(self.value - 1.0) > 1e-10:
             raise ValueError(f"trace moment must equal 1, got {self.value!r}")
-
-
-@dataclass(frozen=True)
-class ReferenceMeans:
-    """Exact N=2 reference values for one measure."""
-
-    measure: str
-    mean_entropy: float
-    mean_purity: float
-    participation: float
-
-    def __post_init__(self):
-        if abs(self.participation * self.mean_purity - 1.0) > 1e-12:
-            raise ValueError("participation must be the reciprocal of mean purity")
-
-
-def cpn_volume(n: int) -> float:
-    """Volume pi^(n-1)/(n-1)! of the manifold of pure states in dimension n."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    return math.exp((n - 1) * math.log(math.pi) - log_gamma(n)) if n > 1 else 1.0
 
 
 def log_norm_constant(n: int, k: int, beta: float) -> float:
@@ -121,12 +106,6 @@ def _bures_log_density(v: np.ndarray, n: int) -> float:
     return float(-0.5 * np.sum(np.log(v)) + np.sum(2.0 * np.log(np.abs(diffs)) - np.log(sums)))
 
 
-def bures_unnormalized_density(lam, n: int) -> float:
-    """prod_i l_i^(-1/2) * prod_{i<j} (l_i - l_j)^2 / (l_i + l_j); zero on
-    degenerate spectra, +inf on the simplex boundary."""
-    return float(np.exp(_bures_log_density(_lam_checked(lam, n), n)))
-
-
 def log_bures_norm_constant(n: int) -> float:
     """ln C_N of the Bures eigenvalue density, from the closed form
 
@@ -181,72 +160,40 @@ def _scalar_or_array(x, out):
     return float(out) if np.ndim(x) == 0 else out
 
 
-# (a, b) of the Beta law of u = 4r^2 = (l1 - l2)^2 for the named N=2 measures
-_RADIAL_BETA = {"unitary": (0.5, 1.0), "orthogonal": (0.5, 0.5), "hs": (1.5, 1.0),
-                "bures": (1.5, 0.5)}
+def _need_beta_params(a: float, b: float) -> None:
+    if not (a > 0 and b > 0):
+        raise DomainError(f"need Beta parameters a, b > 0, got a={a}, b={b}")
 
 
-def _radial_beta(measure: str, k: int | None) -> tuple[float, float]:
-    if measure == "induced":
-        if k is None or k < 2:
-            raise DomainError("induced radial law needs k >= 2")
-        return 1.5, k - 1.0
-    try:
-        return _RADIAL_BETA[measure]
-    except KeyError:
-        raise DomainError(f"unknown radial measure {measure!r}") from None
-
-
-def radial_density_n2(measure: str, r, k: int | None = None):
-    """Radial (Bloch-ball) eigenvalue density for N=2 on r in [0, 1/2).
-
-    For every N=2 measure u = 4r^2 = (l1 - l2)^2 is a Beta(a, b) variate:
-    unitary (1/2, 1), orthogonal (1/2, 1/2), hs (3/2, 1), bures (3/2, 1/2)
-    and induced with environment dimension k >= 2 (3/2, k - 1). The density
-    in r, 4 (2r)^(2a-1) (1 - 4r^2)^(b-1)/B(a, b), accepts scalars or arrays.
+def radial_density_n2(r, a: float, b: float):
+    """Radial (Bloch-ball) eigenvalue density for N=2 on r in [0, 1/2), for
+    the law under which u = 4r^2 = (l1 - l2)^2 is a Beta(a, b) variate; a
+    measure spec gives its (a, b) by ``radial_law()``. The density in r,
+    4 (2r)^(2a-1) (1 - 4r^2)^(b-1)/B(a, b), accepts scalars or arrays.
     """
     rv = np.asarray(r, dtype=np.float64)
     if np.any((rv < 0.0) | (rv >= 0.5)):
         raise DomainError(f"radius must lie in [0, 1/2), got {r!r}")
-    a, b = _radial_beta(measure, k)
+    _need_beta_params(a, b)
     shape = 4.0 * (2.0 * rv) ** (2.0 * a - 1.0) * (1.0 - 4.0 * rv * rv) ** (b - 1.0)
     # 1/B(a, b) = poch(b, a)/Gamma(a) stays finite where Gamma(a + b) overflows
     return _scalar_or_array(r, shape * (poch(b, a) / gamma(a)))
 
 
-def radial_cdf_n2(measure: str, r, k: int | None = None):
+def radial_cdf_n2(r, a: float, b: float):
     """CDF of :func:`radial_density_n2`: the regularized incomplete Beta
     function I_{4r^2}(a, b), on r in [0, 1/2]."""
     rv = np.asarray(r, dtype=np.float64)
     if np.any((rv < 0.0) | (rv > 0.5)):
         raise DomainError(f"radius must lie in [0, 1/2], got {r!r}")
-    a, b = _radial_beta(measure, k)
+    _need_beta_params(a, b)
     return _scalar_or_array(r, betainc(a, b, 4.0 * rv * rv))
 
 
-def schmidt_angle_density(alpha):
-    """Density 3 cos(2a) sin(4a) of the Schmidt angle on [0, pi/4]."""
-    av = np.asarray(alpha, dtype=np.float64)
-    if np.any((av < 0.0) | (av > np.pi / 4)):
-        raise DomainError(f"Schmidt angle must lie in [0, pi/4], got {alpha!r}")
-    return _scalar_or_array(alpha, 3.0 * np.cos(2.0 * av) * np.sin(4.0 * av))
-
-
-def entanglement_density_n2(kind: str, x):
-    """Density of the tangle, (3/2) sqrt(1-t), or concurrence, 3c sqrt(1-c^2),
-    for natural-measure two-qubit pure states."""
-    xv = np.asarray(x, dtype=np.float64)
-    if np.any((xv < 0.0) | (xv > 1.0)):
-        raise DomainError(f"argument must lie in [0, 1], got {x!r}")
-    if kind == "tangle":
-        return _scalar_or_array(x, 1.5 * np.sqrt(1.0 - xv))
-    if kind == "concurrence":
-        return _scalar_or_array(x, 3.0 * xv * np.sqrt(1.0 - xv * xv))
-    raise DomainError(f"kind must be 'tangle' or 'concurrence', got {kind!r}")
-
-
 def entanglement_cdf_n2(kind: str, x):
-    """Antiderivatives of :func:`entanglement_density_n2`, used for KS tests."""
+    """CDF of the tangle, 1 - (1 - t)^(3/2), or of the concurrence,
+    1 - (1 - c^2)^(3/2), of Hilbert-Schmidt two-qubit states (the densities
+    (3/2) sqrt(1 - t) and 3c sqrt(1 - c^2)), used for KS tests."""
     xv = np.asarray(x, dtype=np.float64)
     if np.any((xv < 0.0) | (xv > 1.0)):
         raise DomainError(f"argument must lie in [0, 1], got {x!r}")
@@ -358,58 +305,9 @@ def pure_state_mean_entropy_exact(n: int) -> float:
     return digamma(n + 1.0) - digamma(2.0)
 
 
-@dataclass(frozen=True)
-class AsymptoticValues:
-    moment: float
-    entropy: float
-    pure_state_entropy: float
-
-
-def asymptotics(n: int, nu: float) -> AsymptoticValues:
-    """Large-n asymptotes: the moment Gamma(1+2nu) n^(1-nu) / (Gamma(1+nu)
-    Gamma(2+nu)), the mixed-state entropy ln n - 1/2, and the pure-state
-    entropy ln n - 1 + gamma."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    log_m = log_gamma(1 + 2 * nu) - log_gamma(1 + nu) - log_gamma(2 + nu)
-    return AsymptoticValues(
-        moment=math.exp(log_m) * n ** (1.0 - nu),
-        entropy=math.log(n) - 0.5,
-        pure_state_entropy=math.log(n) - 1.0 + EULER_GAMMA,
-    )
-
-
-_REFERENCE_MEANS = {
-    "hs": (1.0 / 3.0, 4.0 / 5.0),
-    "unitary": (0.5, 2.0 / 3.0),
-    "orthogonal": (2.0 * math.log(2.0) - 1.0, 3.0 / 4.0),
-    "bures": (2.0 * math.log(2.0) - 7.0 / 6.0, 7.0 / 8.0),
-}
-
-
-def n2_reference_means(measure: str) -> ReferenceMeans:
-    """Exact N=2 mean entropy, mean purity and participation ratio for the
-    hs, unitary, orthogonal and Bures measures."""
-    try:
-        mean_entropy, mean_purity = _REFERENCE_MEANS[measure]
-    except KeyError:
-        raise DomainError(f"unknown measure {measure!r}") from None
-    return ReferenceMeans(measure, mean_entropy, mean_purity, 1.0 / mean_purity)
-
-
-def uniform_rescale_density_n2(y):
-    """Density of y1/(y1+y2) for independent uniform y1, y2: 1/(2(1-y)^2)
-    below 1/2 and its mirror image above."""
-    yv = np.asarray(y, dtype=np.float64)
-    if np.any((yv < 0.0) | (yv > 1.0)):
-        raise DomainError(f"argument must lie in [0, 1], got {y!r}")
-    with np.errstate(divide="ignore"):  # np.where evaluates the unused branch
-        out = np.where(yv <= 0.5, 0.5 / (1.0 - yv) ** 2, 0.5 / yv**2)
-    return _scalar_or_array(y, out)
-
-
 def uniform_rescale_cdf_n2(y):
-    """CDF matching :func:`uniform_rescale_density_n2`."""
+    """CDF of y1/(y1+y2) for independent uniform y1, y2, whose density is
+    1/(2(1-y)^2) below 1/2 and its mirror image above."""
     yv = np.asarray(y, dtype=np.float64)
     if np.any((yv < 0.0) | (yv > 1.0)):
         raise DomainError(f"argument must lie in [0, 1], got {y!r}")

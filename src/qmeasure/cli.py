@@ -8,11 +8,15 @@ endings and UTF-8; JSON numbers carry 17 significant digits so they
 round-trip exactly.
 
 The defaults ``DEFAULT_SEED``, ``DEFAULT_SAMPLES`` and ``QUICK_SAMPLES`` come
-from :mod:`qmeasure.stats`. ``analytics`` and ``verify`` are imported inside
-the commands that use them, ``analytics`` by ``estimate`` only when a closed
-form applies, so ``sample``, ``ternary`` and an ``estimate`` without an exact
-value load no scipy module; ``main`` builds its argument parser once per
-process.
+from :mod:`qmeasure.stats`. What depends on the measure comes from its spec:
+the JSON record (``to_json``), the exact value (``exact_mean``), the N = 2
+radial law that ``density`` tabulates (``radial_law``) and the exponents at
+which ``trace_power`` is finite (``moment_domain``); ``estimate`` refuses any
+other exponent before it samples. ``analytics`` is imported by ``density``
+and, inside ``exact_mean``, only when a closed form applies, and ``verify``
+by its command, so ``sample``, ``ternary`` and an ``estimate`` without an
+exact value load no scipy module; ``main`` builds its argument parser once
+per process.
 """
 
 from __future__ import annotations
@@ -72,14 +76,6 @@ def _to_json(value) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_to_json(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def _measure_json(measure: MeasureSpec) -> dict:
-    if isinstance(measure, Induced):
-        return {"kind": "induced", "n": measure.n, "k": measure.k, "beta": measure.beta}
-    if isinstance(measure, ProductDirichlet):
-        return {"kind": "product", "n": measure.n, "s": measure.s}
-    return {"kind": "bures", "n": measure.n}
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -176,49 +172,16 @@ def _matrix_columns(n: int) -> list[str]:
     return cols
 
 
-def _exact_value(measure: MeasureSpec, functional: str, nu: Optional[float]) -> Optional[float]:
-    """The closed-form mean of ``functional`` under ``measure``, or None where
-    there is none. ``analytics``, and with it scipy.special, is imported only
-    once a closed form applies; a value outside its domain raises."""
-    form = None
-    if isinstance(measure, Induced) and measure.beta == 2:
-        n, k = measure.n, measure.k
-        if n == 2 and k == 2 and functional in ("tangle", "concurrence"):
-            return 0.4 if functional == "tangle" else 3.0 * math.pi / 16.0
-        form = {
-            "purity": lambda a: a.purity_induced_exact(n, k),
-            "participation_ratio": lambda a: 1.0 / a.purity_induced_exact(n, k),
-            "entropy": lambda a: a.induced_mean_entropy_exact(n, k),
-            "trace_power": lambda a: a.induced_moment_exact(n, k, nu).value,
-        }.get(functional)
-    elif isinstance(measure, Bures):
-        n = measure.n
-        form = {
-            "entropy": lambda a: a.bures_mean_entropy_exact(n),
-            "purity": lambda a: a.bures_purity_exact(n),
-            "participation_ratio": lambda a: 1.0 / a.bures_purity_exact(n),
-        }.get(functional)
-    elif isinstance(measure, ProductDirichlet) and measure.n == 2 and measure.s in (1.0, 0.5):
-        name = "unitary" if measure.s == 1.0 else "orthogonal"
-        form = {
-            "entropy": lambda a: a.n2_reference_means(name).mean_entropy,
-            "purity": lambda a: a.n2_reference_means(name).mean_purity,
-            "participation_ratio": lambda a: a.n2_reference_means(name).participation,
-        }.get(functional)
-    if form is None or (functional == "trace_power" and nu is None):
-        return None
-    from . import analytics
-
-    return form(analytics)
-
-
 def cmd_estimate(args) -> int:
     measure = _build_measure(args)
     seed = args.seed if args.seed is not None else _default_seed()
     if args.functional == "trace_power" and args.nu is None:
         raise ValueError("--functional trace_power requires --nu")
-    # before sampling, so an exponent outside the closed form's domain fails fast
-    exact = _exact_value(measure, args.functional, args.nu)
+    # before sampling, so a moment that is infinite or outside its closed
+    # form's domain fails fast
+    exact = measure.exact_mean(args.functional, args.nu)
+    if args.functional == "trace_power" and not args.nu > measure.moment_domain():
+        raise ValueError(f"need nu > {measure.moment_domain():g} for {measure}, got {args.nu}")
     if args.functional == "participation_ratio":
         est = participation_ratio(
             mc_estimate(measure, "purity", args.samples, args.workers, seed)
@@ -228,7 +191,7 @@ def cmd_estimate(args) -> int:
                           nu=args.nu)
     z = (est.mean - exact) / est.stderr if exact is not None and est.stderr > 0 else None
     record = {
-        "measure": _measure_json(measure),
+        "measure": measure.to_json(),
         "functional": est.functional,
         "mean": est.mean,
         "stderr": est.stderr,
@@ -242,31 +205,14 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _radial_selector(measure: MeasureSpec) -> tuple[str, Optional[int]]:
-    if measure.n != 2:
-        raise ValueError("radial densities are defined for N=2 only")
-    if isinstance(measure, Induced):
-        if measure.beta != 2:
-            raise ValueError("radial density tabulation requires beta=2")
-        return ("hs", None) if measure.k == 2 else ("induced", measure.k)
-    if isinstance(measure, ProductDirichlet):
-        if measure.s == 1.0:
-            return "unitary", None
-        if measure.s == 0.5:
-            return "orthogonal", None
-        raise ValueError("product radial density is tabulated for s=1 or s=1/2 only")
-    return "bures", None
-
-
 def cmd_density(args) -> int:
     from . import analytics
 
-    measure = _build_measure(args)
-    name, k = _radial_selector(measure)
+    law = _build_measure(args).radial_law()
     if args.bins < 1:
         raise ValueError(f"need --bins >= 1, got {args.bins}")
     grid = np.arange(args.bins) * (0.5 / args.bins)
-    dens = analytics.radial_density_n2(name, grid, k)
+    dens = analytics.radial_density_n2(grid, *law)
     _emit_table(args, ["r", "density"], np.column_stack([grid, dens]))
     return 0
 

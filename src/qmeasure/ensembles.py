@@ -19,6 +19,7 @@ independent rows are spread over one shared, lazily created thread pool.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -57,8 +58,42 @@ class RandomStream:
         return self._gen
 
 
+def _analytics():
+    """The closed-form module, imported on first use: scipy.special loads
+    with it, and sampling or an estimate without an exact value needs
+    neither."""
+    from . import analytics
+
+    return analytics
+
+
+def _need_n2(measure) -> None:
+    if measure.n != 2:
+        raise ValueError(f"radial densities are defined for N=2 only, got n={measure.n}")
+
+
+class _Measure:
+    """What a measure spec answers for itself besides its samples: its JSON
+    record (``to_json``), its closed-form means (``exact_mean``), the Beta law
+    of its N = 2 radial variable (``radial_law``) and the exponents at which
+    its moments are finite (``moment_domain``)."""
+
+    def exact_mean(self, functional: str, nu: float | None = None) -> float | None:
+        """The closed-form mean of ``functional`` under this measure
+        (``trace_power`` with exponent ``nu``), or None where none is known.
+        The participation ratio is 1 / <Tr rho^2>. ``analytics`` is imported
+        only once a closed form applies, and raises DomainError for an
+        exponent outside its domain."""
+        if functional == "participation_ratio":
+            purity = self._exact("purity", None)
+            return None if purity is None else 1.0 / purity
+        if functional == "trace_power" and nu is None:
+            return None
+        return self._exact(functional, nu)
+
+
 @dataclass(frozen=True)
-class Induced:
+class Induced(_Measure):
     """Spectra of reduced states of Haar pure states on an n x k system.
 
     beta=2 is the complex (unitary) symmetry class; k=n reproduces the
@@ -77,6 +112,41 @@ class Induced:
         if self.beta not in (1, 2, 4):
             raise ValueError(f"beta must be 1, 2 or 4, got {self.beta}")
 
+    def to_json(self) -> dict:
+        return {"kind": "induced", "n": self.n, "k": self.k, "beta": self.beta}
+
+    def _exact(self, functional: str, nu: float | None) -> float | None:
+        # beta = 2 only: Page's entropy, the purity (n + k)/(nk + 1), the
+        # Laguerre-sum moment, and at n = k = 2 the tangle and concurrence
+        n, k = self.n, self.k
+        if self.beta != 2:
+            return None
+        if functional == "purity":
+            return _analytics().purity_induced_exact(n, k)
+        if functional == "entropy":
+            return _analytics().induced_mean_entropy_exact(n, k)
+        if functional == "trace_power":
+            return _analytics().induced_moment_exact(n, k, nu).value
+        if n == k == 2:
+            return {"tangle": 0.4, "concurrence": 3.0 * math.pi / 16.0}.get(functional)
+        return None
+
+    def radial_law(self) -> tuple[float, float]:
+        """(a, b) of the Beta law of u = (l1 - l2)^2 at n = 2 and k >= 2:
+        ((beta + 1)/2, beta (k - 1)/2), from the joint density
+        (l1 l2)^(beta (k - 1)/2 - 1) |l1 - l2|^beta."""
+        _need_n2(self)
+        if self.k < 2:
+            raise ValueError(f"the induced radial law needs k >= 2, got k={self.k}")
+        return (self.beta + 1) / 2.0, self.beta * (self.k - 1) / 2.0
+
+    def moment_domain(self) -> float:
+        """<Tr rho^nu> is finite iff nu exceeds this: -beta (k - n + 1)/2 for
+        k >= n, where the smallest eigenvalue has density
+        ~ l^(beta (k - n + 1)/2 - 1) near 0, and 0 for k < n, where n - k
+        eigenvalues are exactly 0."""
+        return -self.beta * (self.k - self.n + 1) / 2.0 if self.k >= self.n else 0.0
+
 
 # The Dirichlet exponents that can be sampled. Below DIRICHLET_S_MIN most
 # Gamma(s) variates underflow to 0 and redrawing the all-zero rows dominates:
@@ -87,13 +157,19 @@ DIRICHLET_S_MIN, DIRICHLET_TOTAL_MAX = 1e-5, 1e300
 
 
 @dataclass(frozen=True)
-class ProductDirichlet:
+class ProductDirichlet(_Measure):
     """Haar eigenvectors with Dirichlet(s) eigenvalues; s=1 is the unitary
     product measure, s=1/2 the orthogonal one. Needs
     DIRICHLET_S_MIN <= s <= DIRICHLET_TOTAL_MAX / n."""
 
     n: int
     s: float
+
+    # exact N = 2 means of the unitary (s = 1) and orthogonal (s = 1/2) measures
+    _N2_MEANS = {
+        1.0: {"entropy": 0.5, "purity": 2.0 / 3.0},
+        0.5: {"entropy": 2.0 * math.log(2.0) - 1.0, "purity": 3.0 / 4.0},
+    }
 
     def __post_init__(self):
         if self.n < 1:
@@ -102,9 +178,26 @@ class ProductDirichlet:
             raise ValueError(f"need {DIRICHLET_S_MIN:g} <= s <= "
                              f"{DIRICHLET_TOTAL_MAX:g} / n, got {self.s}")
 
+    def to_json(self) -> dict:
+        return {"kind": "product", "n": self.n, "s": self.s}
+
+    def _exact(self, functional: str, nu: float | None) -> float | None:
+        return self._N2_MEANS.get(self.s, {}).get(functional) if self.n == 2 else None
+
+    def radial_law(self) -> tuple[float, float]:
+        """(1/2, s): l1 is Beta(s, s), so l1 - l2 has density
+        ~ (1 - x^2)^(s - 1) on [-1, 1]."""
+        _need_n2(self)
+        return 0.5, self.s
+
+    def moment_domain(self) -> float:
+        """-s, from the Beta(s, (n - 1) s) marginal of each eigenvalue; -inf at
+        n = 1, where the spectrum is (1)."""
+        return -self.s if self.n > 1 else -math.inf
+
 
 @dataclass(frozen=True)
-class Bures:
+class Bures(_Measure):
     """Bures-metric measure, sampled exactly at any n: a closed form for
     n = 2, the (1 + U) G construction of arXiv:0909.5094 above it."""
 
@@ -113,6 +206,26 @@ class Bures:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
+
+    def to_json(self) -> dict:
+        return {"kind": "bures", "n": self.n}
+
+    def _exact(self, functional: str, nu: float | None) -> float | None:
+        if functional == "purity":
+            return _analytics().bures_purity_exact(self.n)
+        if functional == "entropy":
+            return _analytics().bures_mean_entropy_exact(self.n)
+        return None
+
+    def radial_law(self) -> tuple[float, float]:
+        """(3/2, 1/2), the density 32 r^2 / (pi sqrt(1 - 4 r^2)) in r."""
+        _need_n2(self)
+        return 1.5, 0.5
+
+    def moment_domain(self) -> float:
+        """-1/2, from the factor prod l_i^(-1/2) of the joint density; -inf at
+        n = 1."""
+        return -0.5 if self.n > 1 else -math.inf
 
 
 MeasureSpec = Union[Induced, ProductDirichlet, Bures]

@@ -123,22 +123,23 @@ def criterion_3(config: BatteryConfig) -> CriterionResult:
 def criterion_4(config: BatteryConfig) -> CriterionResult:
     res = CriterionResult(4, "N=2 radial distributions")
     cases = [
-        ("unitary", None, ProductDirichlet(2, 1.0)),
-        ("orthogonal", None, ProductDirichlet(2, 0.5)),
-        ("hs", None, Induced(2, 2, 2)),
-        ("bures", None, Bures(2)),
-    ] + [("induced", k, Induced(2, k, 2)) for k in (3, 4, 5)]
-    for sub, (name, k, measure) in enumerate(cases):
+        ("unitary", ProductDirichlet(2, 1.0)),
+        ("orthogonal", ProductDirichlet(2, 0.5)),
+        ("hs", Induced(2, 2, 2)),
+        ("bures", Bures(2)),
+    ] + [(f"induced K={k}", Induced(2, k, 2)) for k in (3, 4, 5)]
+    for sub, (label, measure) in enumerate(cases):
         spectra = sample_spectra(measure, config.samples, _stream(config, 4, sub))
-        gof = ks_test(_radius(spectra), lambda r: analytics.radial_cdf_n2(name, r, k))
-        label = name if k is None else f"induced K={k}"
+        a, b = measure.radial_law()
+        gof = ks_test(_radius(spectra), lambda r: analytics.radial_cdf_n2(r, a, b))
         res.add(f"radius KS, {label}", gof.p_value > 0.01, p=gof.p_value, d=gof.statistic)
     return res
 
 
 def criterion_5(config: BatteryConfig) -> CriterionResult:
     res = CriterionResult(5, "tangle and concurrence laws")
-    spectra = sample_spectra(hilbert_schmidt(2), config.samples, _stream(config, 5, 0))
+    hs = hilbert_schmidt(2)
+    spectra = sample_spectra(hs, config.samples, _stream(config, 5, 0))
     tangle = spectrum_functional(spectra, "tangle")
     conc = np.sqrt(tangle)
     gof_t = ks_test(tangle, lambda x: analytics.entanglement_cdf_n2("tangle", x))
@@ -146,9 +147,9 @@ def criterion_5(config: BatteryConfig) -> CriterionResult:
     gof_c = ks_test(conc, lambda x: analytics.entanglement_cdf_n2("concurrence", x))
     res.add("concurrence KS", gof_c.p_value > 0.01, p=gof_c.p_value, d=gof_c.statistic)
     mean_t, err_t = _mean_stderr(tangle)
-    _zcheck(res, "mean tangle vs 2/5", mean_t, err_t, 0.4)
+    _zcheck(res, "mean tangle vs 2/5", mean_t, err_t, hs.exact_mean("tangle"))
     mean_c, err_c = _mean_stderr(conc)
-    _zcheck(res, "mean concurrence vs 3pi/16", mean_c, err_c, 3.0 * math.pi / 16.0)
+    _zcheck(res, "mean concurrence vs 3pi/16", mean_c, err_c, hs.exact_mean("concurrence"))
     return res
 
 
@@ -160,20 +161,21 @@ def criterion_6(config: BatteryConfig) -> CriterionResult:
         ("bures", Bures(2)),
     ]
     for sub, (name, measure) in enumerate(cases):
-        ref = analytics.n2_reference_means(name)
         spectra = sample_spectra(measure, config.samples, _stream(config, 6, sub))
         mean_e, err_e = _mean_stderr(spectrum_functional(spectra, "entropy"))
-        _zcheck(res, f"entropy, {name}", mean_e, err_e, ref.mean_entropy)
+        _zcheck(res, f"entropy, {name}", mean_e, err_e, measure.exact_mean("entropy"))
         mean_p, err_p = _mean_stderr(spectrum_functional(spectra, "purity"))
         ratio = 1.0 / mean_p
         ratio_err = err_p / (mean_p * mean_p)
-        _zcheck(res, f"participation ratio, {name}", ratio, ratio_err, ref.participation)
+        _zcheck(res, f"participation ratio, {name}", ratio, ratio_err,
+                measure.exact_mean("participation_ratio"))
     for sub, n in enumerate(range(3, 7), start=len(cases)):
-        spectra = sample_spectra(Bures(n), config.samples, _stream(config, 6, sub))
+        measure = Bures(n)
+        spectra = sample_spectra(measure, config.samples, _stream(config, 6, sub))
         mean, stderr = _mean_stderr(spectrum_functional(spectra, "purity"))
-        _zcheck(res, f"purity, Bures N={n}", mean, stderr, analytics.bures_purity_exact(n))
+        _zcheck(res, f"purity, Bures N={n}", mean, stderr, measure.exact_mean("purity"))
         mean, stderr = _mean_stderr(spectrum_functional(spectra, "entropy"))
-        _zcheck(res, f"entropy, Bures N={n}", mean, stderr, analytics.bures_mean_entropy_exact(n))
+        _zcheck(res, f"entropy, Bures N={n}", mean, stderr, measure.exact_mean("entropy"))
     return res
 
 

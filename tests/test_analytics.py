@@ -5,19 +5,14 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import xlogy
 
-from qmeasure import analytics
+from qmeasure import Bures, Induced, ProductDirichlet, analytics
 from qmeasure.analytics import (
-    AsymptoticValues,
     MomentReport,
-    asymptotics,
     bures_joint_density,
     bures_mean_entropy_exact,
     bures_norm_constant,
     bures_purity_exact,
-    bures_unnormalized_density,
-    cpn_volume,
     entanglement_cdf_n2,
-    entanglement_density_n2,
     hs_mean_entropy_exact,
     hs_moment_exact,
     hs_moment_quadrature,
@@ -26,17 +21,13 @@ from qmeasure.analytics import (
     joint_eigenvalue_density,
     log_bures_norm_constant,
     log_norm_constant,
-    n2_reference_means,
     pure_state_mean_entropy_exact,
     purity_induced_exact,
     radial_cdf_n2,
     radial_density_n2,
-    schmidt_angle_density,
     uniform_rescale_cdf_n2,
-    uniform_rescale_density_n2,
 )
 from qmeasure.errors import DomainError
-from qmeasure.special import EULER_GAMMA
 
 
 def page_entropy(n: int, k: int | None = None) -> float:
@@ -61,22 +52,25 @@ def _arcsin_cdf(r):
     return (2.0 * theta - np.sin(2.0 * theta)) / np.pi
 
 
+UNITARY, ORTHOGONAL, HS, BURES = (ProductDirichlet(2, 1.0), ProductDirichlet(2, 0.5),
+                                  Induced(2, 2, 2), Bures(2))
+
 # the four named N=2 radial laws as closed (density, CDF) pairs in r
 NAMED_RADIAL_LAWS = {
-    "unitary": (lambda r: np.full_like(r, 2.0), lambda r: 2.0 * r),
-    "orthogonal": (lambda r: 4.0 / (np.pi * np.sqrt(1.0 - 4.0 * r * r)),
-                   lambda r: (2.0 / np.pi) * np.arcsin(2.0 * r)),
-    "hs": (lambda r: 24.0 * r * r, lambda r: 8.0 * r**3),
-    "bures": (lambda r: 32.0 * r * r / (np.pi * np.sqrt(1.0 - 4.0 * r * r)), _arcsin_cdf),
+    UNITARY: (lambda r: np.full_like(r, 2.0), lambda r: 2.0 * r),
+    ORTHOGONAL: (lambda r: 4.0 / (np.pi * np.sqrt(1.0 - 4.0 * r * r)),
+                 lambda r: (2.0 / np.pi) * np.arcsin(2.0 * r)),
+    HS: (lambda r: 24.0 * r * r, lambda r: 8.0 * r**3),
+    BURES: (lambda r: 32.0 * r * r / (np.pi * np.sqrt(1.0 - 4.0 * r * r)), _arcsin_cdf),
 }
 
 
-# -------------------------------------------------------------------- volume
+def density(measure, r):
+    return radial_density_n2(r, *measure.radial_law())
 
-def test_cpn_volume():
-    assert cpn_volume(1) == 1.0
-    assert cpn_volume(2) == pytest.approx(np.pi, rel=1e-14)
-    assert cpn_volume(4) == pytest.approx(np.pi**3 / 6.0, rel=1e-14)
+
+def cdf(measure, r):
+    return radial_cdf_n2(r, *measure.radial_law())
 
 
 # ------------------------------------------------------------ normalization
@@ -166,13 +160,13 @@ def test_joint_density_mass_n4_by_importance_sampling():
 
 def test_bures_unnormalized_hand_value():
     # lam = (3/4, 1/4): (l1 l2)^(-1/2) = 4/sqrt(3), (l1-l2)^2/(l1+l2) = 1/4
-    got = bures_unnormalized_density([0.75, 0.25], 2)
+    got = bures_joint_density([0.75, 0.25], 2)[0]
     assert got == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
 
 
 def test_bures_density_edge_cases():
-    assert bures_unnormalized_density([0.5, 0.5], 2) == 0.0
-    assert bures_unnormalized_density([1.0, 0.0], 2) == np.inf
+    assert bures_joint_density([0.5, 0.5], 2)[0] == 0.0
+    assert bures_joint_density([1.0, 0.0], 2)[0] == np.inf
 
 
 def test_bures_constants():
@@ -252,7 +246,7 @@ def test_bures_joint_density_normalized_field():
 
 def test_bures_purity_exact():
     assert bures_purity_exact(1) == 1.0
-    assert bures_purity_exact(2) == 7.0 / 8.0 == n2_reference_means("bures").mean_purity
+    assert bures_purity_exact(2) == 7.0 / 8.0
     with pytest.raises(DomainError):
         bures_purity_exact(0)
 
@@ -261,22 +255,22 @@ def test_bures_radial_vs_joint_consistency():
     # fold the N=2 joint density: p(r) = 2 * C'_2 * unnorm(1/2+r, 1/2-r)
     c2 = bures_norm_constant(2)
     for r in (0.05, 0.2, 0.4):
-        joint = 2.0 * c2 * bures_unnormalized_density([0.5 + r, 0.5 - r], 2)
-        assert radial_density_n2("bures", r) == pytest.approx(joint, rel=1e-12)
+        joint = 2.0 * c2 * bures_joint_density([0.5 + r, 0.5 - r], 2)[0]
+        assert density(BURES, r) == pytest.approx(joint, rel=1e-12)
 
 
 # ------------------------------------------------------------ radial N=2 laws
 
 def test_radial_density_values():
-    assert radial_density_n2("hs", 0.25) == pytest.approx(1.5)
-    assert radial_density_n2("unitary", 0.3) == 2.0
-    assert radial_density_n2("bures", 0.25) == pytest.approx(4.0 / (np.pi * np.sqrt(3.0)))
-    assert radial_density_n2("orthogonal", 0.0) == pytest.approx(4.0 / np.pi)
+    assert density(HS, 0.25) == pytest.approx(1.5)
+    assert density(UNITARY, 0.3) == 2.0
+    assert density(BURES, 0.25) == pytest.approx(4.0 / (np.pi * np.sqrt(3.0)))
+    assert density(ORTHOGONAL, 0.0) == pytest.approx(4.0 / np.pi)
 
 
 def test_radial_induced_k2_equals_hs():
     r = np.linspace(0.0, 0.49, 20)
-    assert np.allclose(radial_density_n2("induced", r, 2), radial_density_n2("hs", r), rtol=1e-10)
+    assert np.allclose(radial_density_n2(r, 1.5, 1.0), density(Induced(2, 2), r), rtol=1e-10)
 
 
 def test_radial_induced_constant_oracle():
@@ -285,32 +279,29 @@ def test_radial_induced_constant_oracle():
     r = np.array([0.05, 0.2, 0.4])
     for k in range(2, 7):
         expected = 8.0 * np.exp(log_norm_constant(2, k, 2)) * r * r * (0.25 - r * r) ** (k - 2)
-        assert radial_density_n2("induced", r, k) == pytest.approx(expected, rel=1e-9)
+        assert density(Induced(2, k), r) == pytest.approx(expected, rel=1e-9)
 
 
 def test_radial_densities_integrate_to_one():
-    for name in ("unitary", "orthogonal", "hs", "bures"):
-        mass, _ = integrate.quad(lambda r: radial_density_n2(name, r), 0.0, 0.5, limit=200)
-        assert mass == pytest.approx(1.0, abs=1e-8)
-    for k in (3, 5):
-        mass, _ = integrate.quad(lambda r: radial_density_n2("induced", r, k), 0.0, 0.5)
+    for measure in (UNITARY, ORTHOGONAL, HS, BURES, Induced(2, 3), Induced(2, 5)):
+        mass, _ = integrate.quad(lambda r: density(measure, r), 0.0, 0.5, limit=200)
         assert mass == pytest.approx(1.0, abs=1e-8)
 
 
 def test_radial_cdf_matches_density():
     # dual route: closed-form CDFs against numerical integrals of the density
-    for name in ("unitary", "orthogonal", "hs", "bures"):
+    for measure in (UNITARY, ORTHOGONAL, HS, BURES):
         for r in (0.1, 0.3, 0.45):
-            mass, _ = integrate.quad(lambda t: radial_density_n2(name, t), 0.0, r)
-            assert radial_cdf_n2(name, r) == pytest.approx(mass, abs=1e-9)
-        assert radial_cdf_n2(name, 0.5) == pytest.approx(1.0, abs=1e-12)
+            mass, _ = integrate.quad(lambda t: density(measure, t), 0.0, r)
+            assert cdf(measure, r) == pytest.approx(mass, abs=1e-9)
+        assert cdf(measure, 0.5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_radial_laws_match_named_closed_forms():
     r = np.linspace(0.0, 0.4999, 2001)
-    for name, (density, cdf) in NAMED_RADIAL_LAWS.items():
-        np.testing.assert_allclose(radial_density_n2(name, r), density(r), rtol=1e-14)
-        np.testing.assert_allclose(radial_cdf_n2(name, r), cdf(r), rtol=0, atol=1e-14)
+    for measure, (law_density, law_cdf) in NAMED_RADIAL_LAWS.items():
+        np.testing.assert_allclose(density(measure, r), law_density(r), rtol=1e-14)
+        np.testing.assert_allclose(cdf(measure, r), law_cdf(r), rtol=0, atol=1e-14)
 
 
 def test_radial_induced_cdf_matches_numeric_cdf():
@@ -318,71 +309,104 @@ def test_radial_induced_cdf_matches_numeric_cdf():
 
     r = np.linspace(0.0, 0.5, 1001)
     for k in (3, 4, 5, 9):
-        oracle = numeric_cdf(lambda t, k=k: radial_density_n2("induced", t, k), 0.0, 0.5)
-        np.testing.assert_allclose(radial_cdf_n2("induced", r, k), oracle(r), rtol=0, atol=1e-8)
+        oracle = numeric_cdf(lambda t, k=k: density(Induced(2, k), t), 0.0, 0.5)
+        np.testing.assert_allclose(cdf(Induced(2, k), r), oracle(r), rtol=0, atol=1e-8)
 
 
 def test_radial_induced_large_k():
     r = np.linspace(0.0, 0.4999, 1001)
-    assert np.all(np.isfinite(radial_density_n2("induced", r, 400)))
-    mass, _ = integrate.quad(lambda t: radial_density_n2("induced", t, 400), 0.0, 0.5,
-                             limit=200)
+    assert np.all(np.isfinite(density(Induced(2, 400), r)))
+    mass, _ = integrate.quad(lambda t: density(Induced(2, 400), t), 0.0, 0.5, limit=200)
     assert mass == pytest.approx(1.0, abs=1e-8)
 
 
+_RADIAL_SPECS = st.one_of(
+    st.builds(Induced, st.just(2), st.integers(2, 400), st.sampled_from([1, 2, 4])),
+    st.builds(ProductDirichlet, st.just(2), st.floats(1e-2, 1e3)),
+    st.just(BURES),
+)
+
+
 @settings(deadline=None)
-@given(name=st.sampled_from(["unitary", "orthogonal", "hs", "bures", "induced"]),
-       k=st.integers(2, 400))
-def test_radial_cdf_rises_from_zero_to_one(name, k):
-    cdf = radial_cdf_n2(name, np.linspace(0.0, 0.5, 257), k)
-    assert cdf[0] == 0.0 and cdf[-1] == 1.0
-    assert np.all(np.diff(cdf) >= 0.0)
+@given(measure=_RADIAL_SPECS)
+def test_radial_cdf_rises_from_zero_to_one(measure):
+    values = cdf(measure, np.linspace(0.0, 0.5, 257))
+    assert values[0] == 0.0 and values[-1] == 1.0
+    assert np.all(np.diff(values) >= 0.0)
 
 
 def test_radial_domain_errors():
     with pytest.raises(DomainError):
-        radial_density_n2("hs", 0.5)
+        density(HS, 0.5)
     with pytest.raises(DomainError):
-        radial_density_n2("hs", -0.01)
-    with pytest.raises(DomainError):
-        radial_density_n2("induced", 0.2)  # missing k
-    with pytest.raises(DomainError):
-        radial_density_n2("nope", 0.2)
-    with pytest.raises(DomainError):
-        radial_cdf_n2("induced", 0.2, 1)
+        density(HS, -0.01)
+    for a, b in ((0.0, 1.0), (1.5, -1.0), (np.nan, 1.0)):
+        with pytest.raises(DomainError):
+            radial_density_n2(0.2, a, b)
+        with pytest.raises(DomainError):
+            radial_cdf_n2(0.2, a, b)
+    for measure in (Induced(2, 1), Induced(3, 3), ProductDirichlet(3, 1.0), Bures(3)):
+        with pytest.raises(ValueError):
+            measure.radial_law()
+
+
+def test_radial_laws_by_formula():
+    # one formula per measure: ((beta + 1)/2, beta (k - 1)/2), (1/2, s), (3/2, 1/2)
+    assert HS.radial_law() == (1.5, 1.0)
+    assert Induced(2, 5).radial_law() == (1.5, 4.0)
+    assert Induced(2, 3, 1).radial_law() == (1.0, 1.0)
+    assert Induced(2, 3, 4).radial_law() == (2.5, 4.0)
+    assert UNITARY.radial_law() == (0.5, 1.0)
+    assert ORTHOGONAL.radial_law() == (0.5, 0.5)
+    assert ProductDirichlet(2, 0.7).radial_law() == (0.5, 0.7)
+    assert BURES.radial_law() == (1.5, 0.5)
+
+
+@pytest.mark.parametrize("measure", [Induced(2, 2, 1), Induced(2, 3, 1), Induced(2, 2, 4),
+                                     Induced(2, 3, 4), ProductDirichlet(2, 0.3),
+                                     ProductDirichlet(2, 2.0)])
+def test_radial_law_matches_joint_density(measure):
+    # dual route: fold the joint eigenvalue density onto r, p(r) = 2 * f(1/2 + r, 1/2 - r)
+    # (the factor 2 counts both orders of an unordered pair)
+    from scipy.special import gammaln
+
+    if isinstance(measure, Induced):
+        def joint(l1, l2):
+            return joint_eigenvalue_density([l1, l2], 2, measure.k, measure.beta)
+    else:
+        s = measure.s
+
+        def joint(l1, l2):
+            return (l1 * l2) ** (s - 1.0) * np.exp(gammaln(2 * s) - 2 * gammaln(s))
+    for r in (0.05, 0.2, 0.4):
+        folded = 2.0 * joint(0.5 + r, 0.5 - r)
+        assert density(measure, r) == pytest.approx(folded, rel=1e-12)
 
 
 # ------------------------------------------------- angle and entanglement laws
 
-def test_schmidt_angle_density_values():
-    assert schmidt_angle_density(0.0) == 0.0
-    assert schmidt_angle_density(np.pi / 4) == pytest.approx(0.0, abs=1e-15)
-    assert schmidt_angle_density(np.pi / 8) == pytest.approx(3.0 * np.sqrt(2.0) / 2.0)
-    mass, _ = integrate.quad(schmidt_angle_density, 0.0, np.pi / 4)
-    assert mass == pytest.approx(1.0, abs=1e-10)
-
-
 def test_mean_tangle_by_change_of_variables():
-    # <tau> = int sin^2(2a) P(a) da must equal 2/5
-    val, _ = integrate.quad(
-        lambda a: np.sin(2 * a) ** 2 * schmidt_angle_density(a), 0.0, np.pi / 4
-    )
-    assert val == pytest.approx(0.4, abs=1e-8)
+    # <tau> = <4 l1 l2> = int (1 - 4r^2) P(r) dr under the HS radial law
+    val, _ = integrate.quad(lambda r: (1.0 - 4.0 * r * r) * density(HS, r), 0.0, 0.5)
+    assert val == pytest.approx(HS.exact_mean("tangle"), abs=1e-8)
+    assert HS.exact_mean("tangle") == 0.4
 
 
 def test_entanglement_densities():
-    assert entanglement_density_n2("tangle", 0.0) == pytest.approx(1.5)
-    assert entanglement_density_n2("concurrence", 1.0) == 0.0
-    mean_c, _ = integrate.quad(
-        lambda c: c * entanglement_density_n2("concurrence", c), 0.0, 1.0
-    )
-    assert mean_c == pytest.approx(3.0 * np.pi / 16.0, abs=1e-8)
-    for kind in ("tangle", "concurrence"):
-        mass, _ = integrate.quad(lambda x: entanglement_density_n2(kind, x), 0.0, 1.0)
-        assert mass == pytest.approx(1.0, abs=1e-10)
+    # the CDFs against the densities (3/2) sqrt(1-t) and 3c sqrt(1-c^2)
+    laws = {"tangle": lambda t: 1.5 * np.sqrt(1.0 - t),
+            "concurrence": lambda c: 3.0 * c * np.sqrt(1.0 - c * c)}
+    mean_c, _ = integrate.quad(lambda c: 1.0 - entanglement_cdf_n2("concurrence", c), 0.0, 1.0)
+    assert mean_c == pytest.approx(3.0 * np.pi / 16.0, abs=1e-10)
+    assert entanglement_cdf_n2("tangle", 0.75) == pytest.approx(0.875, rel=1e-15)
+    assert entanglement_cdf_n2("concurrence", 0.6) == pytest.approx(1.0 - 0.64**1.5, rel=1e-15)
+    for kind, law in laws.items():
+        assert entanglement_cdf_n2(kind, 0.0) == 0.0 and entanglement_cdf_n2(kind, 1.0) == 1.0
         for x in (0.2, 0.7):
-            cum, _ = integrate.quad(lambda t: entanglement_density_n2(kind, t), 0.0, x)
+            cum, _ = integrate.quad(law, 0.0, x)
             assert entanglement_cdf_n2(kind, x) == pytest.approx(cum, abs=1e-10)
+    with pytest.raises(DomainError):
+        entanglement_cdf_n2("negativity", 0.5)
 
 
 # ------------------------------------------------------------------- moments
@@ -554,8 +578,7 @@ def test_induced_mean_entropy_bounds(n, k):
 
 def test_bures_mean_entropy_exact():
     assert bures_mean_entropy_exact(1) == 0.0
-    assert bures_mean_entropy_exact(2) == pytest.approx(
-        n2_reference_means("bures").mean_entropy, abs=1e-15)
+    assert bures_mean_entropy_exact(2) == pytest.approx(2 * np.log(2) - 7 / 6, abs=1e-15)
     with pytest.raises(DomainError):
         bures_mean_entropy_exact(0)
 
@@ -597,50 +620,29 @@ def test_pure_state_mean_entropy_against_mc_and_domain():
         pure_state_mean_entropy_exact(0)
 
 
-# -------------------------------------------------------------- asymptotics
-
-def test_asymptotics_values():
-    a = asymptotics(2, 2.0)
-    assert a.entropy == pytest.approx(np.log(2) - 0.5)
-    assert a.moment == pytest.approx(1.0)  # Gamma(5)/(Gamma(3) Gamma(4)) / 2 = 2/N at N=2
-    assert asymptotics(4, 1.0).pure_state_entropy == pytest.approx(np.log(4) - 1 + EULER_GAMMA)
-    assert isinstance(a, AsymptoticValues)
-
-
-def test_asymptotic_moment_matches_leading_order():
-    for n in (64, 256):
-        exact = 2.0 * n / (n * n + 1.0)
-        assert asymptotics(n, 2.0).moment == pytest.approx(exact, rel=2.0 / n**2 + 1e-12)
-
-
 # ----------------------------------------------------------- reference means
 
 def test_reference_means_table():
-    hs = n2_reference_means("hs")
-    assert (hs.mean_entropy, hs.mean_purity, hs.participation) == pytest.approx(
-        (1 / 3, 4 / 5, 5 / 4)
-    )
-    uni = n2_reference_means("unitary")
-    assert (uni.mean_entropy, uni.mean_purity, uni.participation) == pytest.approx(
-        (0.5, 2 / 3, 1.5)
-    )
-    orth = n2_reference_means("orthogonal")
-    assert (orth.mean_entropy, orth.mean_purity, orth.participation) == pytest.approx(
-        (2 * np.log(2) - 1, 3 / 4, 4 / 3)
-    )
-    bures = n2_reference_means("bures")
-    assert (bures.mean_entropy, bures.mean_purity, bures.participation) == pytest.approx(
-        (2 * np.log(2) - 7 / 6, 7 / 8, 8 / 7)
-    )
-    with pytest.raises(DomainError):
-        n2_reference_means("haar")
+    for measure, (entropy, purity, ratio) in [
+        (HS, (1 / 3, 4 / 5, 5 / 4)),
+        (UNITARY, (0.5, 2 / 3, 1.5)),
+        (ORTHOGONAL, (2 * np.log(2) - 1, 3 / 4, 4 / 3)),
+        (BURES, (2 * np.log(2) - 7 / 6, 7 / 8, 8 / 7)),
+    ]:
+        got = [measure.exact_mean(f) for f in ("entropy", "purity", "participation_ratio")]
+        assert got == pytest.approx([entropy, purity, ratio], rel=1e-15)
+        assert got[2] == 1.0 / got[1]
+    # the product constants exist at n = 2 and s in {1, 1/2} only
+    for measure in (ProductDirichlet(2, 0.7), ProductDirichlet(3, 1.0)):
+        assert measure.exact_mean("entropy") is None
+        assert measure.exact_mean("participation_ratio") is None
 
 
 def test_reference_means_against_radial_quadrature():
     # quadrature oracle: E[f] = int f(1/2+r, 1/2-r) P(r) dr for each measure
-    def mean_under(name, f):
+    def mean_under(measure, f):
         val, _ = integrate.quad(
-            lambda r: f(0.5 + r, 0.5 - r) * radial_density_n2(name, r), 0.0, 0.5, limit=200
+            lambda r: f(0.5 + r, 0.5 - r) * density(measure, r), 0.0, 0.5, limit=200
         )
         return val
 
@@ -651,27 +653,90 @@ def test_reference_means_against_radial_quadrature():
                 out -= v * np.log(v)
         return out
 
-    for name in ("hs", "unitary", "orthogonal", "bures"):
-        ref = n2_reference_means(name)
-        assert mean_under(name, lambda a, b: a * a + b * b) == pytest.approx(
-            ref.mean_purity, abs=1e-8
+    for measure in (HS, UNITARY, ORTHOGONAL, BURES):
+        assert mean_under(measure, lambda a, b: a * a + b * b) == pytest.approx(
+            measure.exact_mean("purity"), abs=1e-8
         )
-        assert mean_under(name, ent) == pytest.approx(ref.mean_entropy, abs=1e-8)
+        assert mean_under(measure, ent) == pytest.approx(measure.exact_mean("entropy"), abs=1e-8)
 
 
 # ---------------------------------------------------------- uniform rescaling
 
-def test_uniform_rescale_density():
-    assert uniform_rescale_density_n2(0.0) == pytest.approx(0.5)
-    assert uniform_rescale_density_n2(0.5) == pytest.approx(2.0)
-    assert uniform_rescale_density_n2(0.5 - 1e-12) == pytest.approx(2.0, rel=1e-9)
-    mass, _ = integrate.quad(uniform_rescale_density_n2, 0.0, 1.0)
-    assert mass == pytest.approx(1.0, abs=1e-10)
-
-
 def test_uniform_rescale_cdf():
+    # against the density 1/(2(1-y)^2) below 1/2 and its mirror image above
+    def law(y):
+        return 0.5 / (1.0 - y) ** 2 if y <= 0.5 else 0.5 / y**2
+
     for y in (0.1, 0.5, 0.9):
-        cum, _ = integrate.quad(uniform_rescale_density_n2, 0.0, y)
+        cum, _ = integrate.quad(law, 0.0, y, points=[0.5] if y > 0.5 else None)
         assert uniform_rescale_cdf_n2(y) == pytest.approx(cum, abs=1e-10)
+    assert uniform_rescale_cdf_n2(0.0) == 0.0 and uniform_rescale_cdf_n2(1.0) == 1.0
+    assert uniform_rescale_cdf_n2(0.5) == 0.5
+    assert uniform_rescale_cdf_n2(0.2) == pytest.approx(0.125, rel=1e-15)
     with pytest.raises(DomainError):
-        uniform_rescale_density_n2(1.2)
+        uniform_rescale_cdf_n2(1.2)
+
+
+# ----------------------------------------------------------- measure specs
+
+_EXACT_MEANS = [
+    *[(Induced(n, k), f, None, want)
+      for n, k in ((1, 1), (2, 2), (2, 5), (3, 3), (4, 2), (64, 64))
+      for f, want in (("purity", purity_induced_exact(n, k)),
+                      ("participation_ratio", 1.0 / purity_induced_exact(n, k)),
+                      ("entropy", induced_mean_entropy_exact(n, k)))],
+    *[(Induced(n, k), "trace_power", nu, induced_moment_exact(n, k, nu).value)
+      for n, k, nu in ((2, 2, 2.0), (3, 3, 0.3), (3, 5, 1.5), (4, 2, 0.5), (8, 8, 150.0),
+                       (3, 4, -1.5))],
+    (HS, "tangle", None, 0.4),
+    (HS, "concurrence", None, 3.0 * np.pi / 16.0),
+    *[(Bures(n), f, None, want)
+      for n in (1, 2, 3, 6)
+      for f, want in (("purity", bures_purity_exact(n)),
+                      ("participation_ratio", 1.0 / bures_purity_exact(n)),
+                      ("entropy", bures_mean_entropy_exact(n)))],
+    (UNITARY, "entropy", None, 0.5),
+    (UNITARY, "purity", None, 2.0 / 3.0),
+    (UNITARY, "participation_ratio", None, 1.0 / (2.0 / 3.0)),
+    (ORTHOGONAL, "entropy", None, 2.0 * np.log(2.0) - 1.0),
+    (ORTHOGONAL, "purity", None, 3.0 / 4.0),
+    (ORTHOGONAL, "participation_ratio", None, 1.0 / (3.0 / 4.0)),
+]
+
+
+@pytest.mark.parametrize("measure,functional,nu,want", _EXACT_MEANS)
+def test_exact_mean_is_the_analytics_value(measure, functional, nu, want):
+    got = measure.exact_mean(functional, nu)
+    assert type(got) is float and got.hex() == float(want).hex()
+
+
+@pytest.mark.parametrize("measure,functional,nu", [
+    (Induced(2, 2, 1), "purity", None), (Induced(3, 4, 4), "entropy", None),
+    (HS, "participation", None), (HS, "trace_power", None), (Induced(2, 3), "tangle", None),
+    (Induced(3, 3), "concurrence", None), (Bures(2), "tangle", None),
+    (Bures(3), "trace_power", 2.0), (ProductDirichlet(2, 0.7), "purity", None),
+    (ProductDirichlet(3, 1.0), "entropy", None), (UNITARY, "trace_power", 2.0),
+])
+def test_exact_mean_is_none_without_a_closed_form(measure, functional, nu):
+    assert measure.exact_mean(functional, nu) is None
+
+
+def test_moment_domains():
+    assert Induced(3, 3).moment_domain() == -1.0
+    assert Induced(3, 3, 1).moment_domain() == -0.5
+    assert Induced(3, 4, 1).moment_domain() == -1.0
+    assert Induced(3, 3, 4).moment_domain() == -2.0
+    assert Induced(1, 5).moment_domain() == -5.0
+    assert Induced(4, 2).moment_domain() == Induced(4, 2, 1).moment_domain() == 0.0
+    assert ProductDirichlet(3, 0.7).moment_domain() == -0.7
+    assert Bures(2).moment_domain() == Bures(6).moment_domain() == -0.5
+    assert ProductDirichlet(1, 0.7).moment_domain() == Bures(1).moment_domain() == -np.inf
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 4), (2, 2), (3, 3), (3, 5), (4, 2), (5, 1)])
+def test_induced_moment_domain_is_the_closed_forms(n, k):
+    # at beta = 2 the bound is the one induced_moment_exact enforces
+    lowest = Induced(n, k).moment_domain()
+    with pytest.raises(DomainError):
+        induced_moment_exact(n, k, lowest)
+    assert induced_moment_exact(n, k, lowest + 0.25).value > 0

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmeasure import Bures, Induced, ProductDirichlet
 from qmeasure.analytics import (
     bures_mean_entropy_exact,
     hs_moment_exact,
     induced_mean_entropy_exact,
     induced_moment_exact,
     radial_cdf_n2,
+    radial_density_n2,
 )
 from qmeasure.cli import main
 from qmeasure.stats import ks_test
@@ -72,7 +74,7 @@ def test_sample_pipeline_bures_radius(tmp_path):
     assert code == 0
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
     r = 0.5 * (rows[:, 0] - rows[:, 1])
-    assert ks_test(r, lambda x: radial_cdf_n2("bures", x)).p_value > 0.01
+    assert ks_test(r, lambda x: radial_cdf_n2(x, *Bures(2).radial_law())).p_value > 0.01
 
 
 def test_estimate_json_schema(tmp_path):
@@ -90,6 +92,22 @@ def test_estimate_json_schema(tmp_path):
     assert record["exact"] == pytest.approx(2.0 / 3.0)
     assert abs(record["z_score"]) <= 4.0
     assert record["count"] == 5000
+
+
+@pytest.mark.parametrize("argv,record", [
+    (["--measure", "hs", "--n", "3"], {"kind": "induced", "n": 3, "k": 3, "beta": 2}),
+    (["--measure", "induced", "--n", "2", "--k", "5", "--beta", "4"],
+     {"kind": "induced", "n": 2, "k": 5, "beta": 4}),
+    (["--measure", "product", "--n", "3", "--s", "0.5"], {"kind": "product", "n": 3, "s": 0.5}),
+    (["--measure", "bures", "--n", "2"], {"kind": "bures", "n": 2}),
+])
+def test_estimate_measure_record(tmp_path, argv, record):
+    code, out = run(tmp_path, "estimate", *argv, "--functional", "purity", "--samples", "100")
+    assert code == 0
+    text = out.read_text()
+    assert json.loads(text)["measure"] == record
+    # key order and number format as written
+    assert text.startswith('{"measure": ' + json.dumps(record) + ", ")
 
 
 def test_estimate_exact_fields(tmp_path):
@@ -165,10 +183,25 @@ def test_density_selectors(tmp_path):
 
 
 def test_density_rejects_unsupported(tmp_path):
+    # every product s and every beta has an N = 2 radial law
     code, _ = run(tmp_path, "density", "--measure", "product", "--n", "2", "--s", "0.7")
-    assert code == 2
+    assert code == 0
     code, _ = run(tmp_path, "density", "--measure", "bures", "--n", "3")
     assert code == 2
+    code, _ = run(tmp_path, "density", "--measure", "induced", "--n", "2", "--k", "1")
+    assert code == 2
+
+
+@pytest.mark.parametrize("argv,measure", [
+    (["--measure", "product", "--n", "2", "--s", "0.7"], ProductDirichlet(2, 0.7)),
+    (["--measure", "induced", "--n", "2", "--k", "3", "--beta", "1"], Induced(2, 3, 1)),
+    (["--measure", "hs", "--n", "2", "--beta", "4"], Induced(2, 2, 4)),
+])
+def test_density_tabulates_every_radial_law(tmp_path, argv, measure):
+    code, out = run(tmp_path, "density", *argv, "--bins", "64")
+    assert code == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(rows[:, 1], radial_density_n2(rows[:, 0], *measure.radial_law()))
 
 
 def test_ternary_output(tmp_path):
@@ -290,6 +323,46 @@ def test_estimate_checks_nu_before_sampling(capsys, monkeypatch):
     assert caught == []
     assert captured.out == ""
     assert captured.err == "error: need nu > -1 at n=3, k=3, got -1e+308\n"
+
+
+_SPECS = st.one_of(
+    st.builds(Induced, st.integers(1, 5), st.integers(1, 6), st.sampled_from([1, 2, 4])),
+    st.builds(ProductDirichlet, st.integers(1, 4), st.floats(1e-5, 50.0)),
+    st.builds(Bures, st.integers(1, 5)),
+)
+
+
+def _measure_argv(measure) -> list[str]:
+    record = measure.to_json()
+    argv = ["--measure", record.pop("kind")]
+    for key, value in record.items():
+        argv += [f"--{key}", repr(value)]
+    return argv
+
+
+@settings(deadline=None, max_examples=60)
+@given(measure=_SPECS, below=st.one_of(st.just(0.0), st.floats(0.0, 1e308)))
+def test_estimate_refuses_divergent_moments_before_sampling(measure, below):
+    # <Tr rho^nu> is infinite for nu <= moment_domain(): one error line, no
+    # sample drawn and no warning, under every measure
+    from qmeasure import cli
+
+    nu = measure.moment_domain() - below
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("estimate sampled a divergent moment")
+
+    stderr = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(stderr):
+        mp.setattr(cli, "mc_estimate", no_sampling)
+        warnings.simplefilter("always")
+        code = main(["estimate", *_measure_argv(measure), "--functional", "trace_power",
+                     f"--nu={nu!r}", "--out", os.devnull])
+    assert code == 2
+    assert caught == []
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: need nu > ")
 
 
 _NON_FINITE_ESTIMATES = [

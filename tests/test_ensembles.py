@@ -295,7 +295,29 @@ def test_product_measure_rotational_invariance():
 def test_bures_radial_law():
     spectra = sample_spectra(Bures(2), 20000, RandomStream(26, 0))
     r = 0.5 * (spectra[:, 0] - spectra[:, 1])
-    assert ks_test(r, lambda x: radial_cdf_n2("bures", x)).p_value > 0.01
+    assert ks_test(r, lambda x: radial_cdf_n2(x, *Bures(2).radial_law())).p_value > 0.01
+
+
+# the N = 2 radial laws that only a formula per measure tabulates, each with
+# a wrong law the same samples must reject: the beta = 2 law at the same k,
+# or the product law at 1.1 s
+_NEW_RADIAL_LAWS = [
+    (Induced(2, 2, 1), Induced(2, 2, 2)),
+    (Induced(2, 3, 1), Induced(2, 3, 2)),
+    (Induced(2, 2, 4), Induced(2, 2, 2)),
+    (Induced(2, 3, 4), Induced(2, 3, 2)),
+    (ProductDirichlet(2, 0.3), ProductDirichlet(2, 0.33)),
+    (ProductDirichlet(2, 2.0), ProductDirichlet(2, 2.2)),
+]
+
+
+@pytest.mark.parametrize("stream,measure,wrong",
+                         [(i, m, w) for i, (m, w) in enumerate(_NEW_RADIAL_LAWS)])
+def test_radial_law_fits_samples(stream, measure, wrong):
+    spectra = sample_spectra(measure, 20000, RandomStream(91, stream))
+    r = 0.5 * (spectra[:, 0] - spectra[:, 1])
+    assert ks_test(r, lambda x: radial_cdf_n2(x, *measure.radial_law())).p_value > 0.01
+    assert ks_test(r, lambda x: radial_cdf_n2(x, *wrong.radial_law())).p_value < 0.01
 
 
 def test_bures_density_matrix_moments():
@@ -350,7 +372,7 @@ def test_bures_density_matrix_radial_law():
     ev = np.array([np.linalg.eigvalsh(bures_density_matrix(2, stream).matrix)
                    for _ in range(4000)])
     r = 0.5 * (ev[:, 1] - ev[:, 0])
-    assert ks_test(r, lambda x: radial_cdf_n2("bures", x)).p_value > 0.01
+    assert ks_test(r, lambda x: radial_cdf_n2(x, *Bures(2).radial_law())).p_value > 0.01
 
 
 def test_bures_scalar():

@@ -346,7 +346,7 @@ def test_numeric_cdf_parabola():
 
 
 def test_numeric_cdf_bures_singular_endpoint():
-    cdf = numeric_cdf(lambda r: radial_density_n2("bures", r), 0.0, 0.5)
+    cdf = numeric_cdf(lambda r: radial_density_n2(r, *Bures(2).radial_law()), 0.0, 0.5)
     assert float(cdf(0.5)) == pytest.approx(1.0, abs=1e-6)
     grid = np.linspace(0.0, 0.5, 200)
     vals = cdf(grid)
@@ -392,6 +392,9 @@ for argv in (
     ["ternary", "--measure", "induced", "--n", "3", "--k", "6", "--samples", "50"],
     ["estimate", "--measure", "product", "--n", "3", "--s", "1", "--functional", "entropy",
      "--samples", "200"],
+    ["estimate", "--measure", "product", "--n", "3", "--s", "1", "--functional", "trace_power",
+     "--nu=-1e308"],
+    ["estimate", "--measure", "bures", "--n", "3", "--functional", "trace_power", "--nu=-0.7"],
     ["estimate", "--measure", "hs", "--n", "4", "--functional", "entropy", "--samples", "200"],
 ):
     code = cli.main(argv + ["--out", sys.argv[1]])
@@ -404,7 +407,8 @@ def test_import_loads_no_quadrature(tmp_path):
     import json
 
     steps = json.loads(_fresh_python(_SCIPY_AFTER_EACH_STEP, str(tmp_path / "out.txt")))
-    assert [code for _, code, _ in steps] == [0] * 8
+    # the two divergent moments are refused, without sampling or scipy
+    assert [code for _, code, _ in steps] == [0] * 7 + [2, 2, 0]
     for name, _, modules in steps[:-1]:
         assert modules == [], name
     estimate = steps[-1][2]
