@@ -9,8 +9,11 @@ so they stay finite at any dimension. Every exact value is a closed form.
 Functions take a measure's parameters, never its name: the N = 2 radial laws
 take the Beta parameters (a, b) of u = (l1 - l2)^2. Which closed form belongs
 to which measure is answered by the measure specs of
-:mod:`qmeasure.ensembles` (``exact_mean``, ``radial_law``), which import this
-module only when a closed form applies.
+:mod:`qmeasure.ensembles` (``exact_mean``, ``radial_law``).
+
+Every function here runs on numpy and the stdlib, through the kernels of
+:mod:`qmeasure.special`; only :func:`radial_cdf_n2`, which the verification
+battery calls, imports scipy, inside the function.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gamma, poch
 
 from .errors import DomainError, QuadratureFailure
-from .special import digamma, gauss_laguerre_nodes, laguerre_sum_sq, log_gamma
+from .special import digamma, gamma_ratio, gauss_laguerre_nodes, laguerre_sum_sq, log_gamma
 
 _QUAD_NODES_SMOOTH = 128       # plenty for polynomial integrands (integer nu)
 _QUAD_NODES_SINGULAR = 1024    # non-integer nu: x^nu has a weak singularity at 0
@@ -176,13 +178,16 @@ def radial_density_n2(r, a: float, b: float):
         raise DomainError(f"radius must lie in [0, 1/2), got {r!r}")
     _need_beta_params(a, b)
     shape = 4.0 * (2.0 * rv) ** (2.0 * a - 1.0) * (1.0 - 4.0 * rv * rv) ** (b - 1.0)
-    # 1/B(a, b) = poch(b, a)/Gamma(a) stays finite where Gamma(a + b) overflows
-    return _scalar_or_array(r, shape * (poch(b, a) / gamma(a)))
+    # 1/B(a, b) = [Gamma(b + a)/Gamma(b)]/Gamma(a) stays finite where
+    # Gamma(a + b) overflows
+    return _scalar_or_array(r, shape * (gamma_ratio(b, a) / math.gamma(a)))
 
 
 def radial_cdf_n2(r, a: float, b: float):
     """CDF of :func:`radial_density_n2`: the regularized incomplete Beta
     function I_{4r^2}(a, b), on r in [0, 1/2]."""
+    from scipy.special import betainc
+
     rv = np.asarray(r, dtype=np.float64)
     if np.any((rv < 0.0) | (rv > 0.5)):
         raise DomainError(f"radius must lie in [0, 1/2], got {r!r}")
@@ -237,13 +242,14 @@ def induced_moment_exact(n: int, k: int, nu: float) -> MomentReport:
     kernel: with N = min(n, k) and a = |k - n| it is Gamma(nk)/Gamma(nk + nu)
     sum_{m<N} m!/Gamma(m+a+1) sum_{j<=m} C(nu, m-j)^2 Gamma(a+nu+j+1)/j!.
     Every term is nonnegative and comes from its m = j neighbour by a ratio
-    recurrence in d = m - j, so no factorial overflows. Where Gamma(nk + nu)/
-    Gamma(nk) = poch(nk, nu) leaves the double range (from nu ~ 140 at
+    recurrence in d = m - j, so no factorial overflows. The Gamma ratios come
+    from :func:`~qmeasure.special.gamma_ratio`, a plain product at integer nu.
+    Where Gamma(nk + nu)/Gamma(nk) leaves the double range (from nu ~ 140 at
     nk = 64, or at large negative nu), the m = j seeds carry it instead:
-    poch(a + j + 1, nu)/poch(nk, nu) is the product of x/(x + nu) over the
-    integers x from a + j + 1 to nk - 1, and no partial product exceeds the
-    largest seed. It needs nu > n - k - 1 for k >= n, and nu > 0 for k < n,
-    where rho has n - k zero eigenvalues."""
+    Gamma(a + j + 1 + nu)/Gamma(a + j + 1) over Gamma(nk + nu)/Gamma(nk) is
+    the product of x/(x + nu) over the integers x from a + j + 1 to nk - 1,
+    and no partial product exceeds the largest seed. It needs nu > n - k - 1
+    for k >= n, and nu > 0 for k < n, where rho has n - k zero eigenvalues."""
     if n < 1 or k < 1:
         raise DomainError(f"need n, k >= 1, got n={n}, k={k}")
     lowest = n - k - 1 if k >= n else 0
@@ -251,10 +257,11 @@ def induced_moment_exact(n: int, k: int, nu: float) -> MomentReport:
         raise DomainError(f"need nu > {lowest} at n={n}, k={k}, got {nu}")
     size, a = min(n, k), abs(k - n)
     j = np.arange(size, dtype=np.float64)
-    scale = poch(n * k, nu)
-    if 0 < scale < np.inf:
-        # one division at the end keeps integer nu exact: (2, 2, 2) gives 0.8
-        terms = poch(a + j + 1.0, nu)  # d = 0: Gamma(a + nu + j + 1)/Gamma(a + j + 1)
+    scale = gamma_ratio(n * k, nu)
+    if 0 < scale < math.inf:
+        # one division at the end keeps integer nu exact: (2, 2, 2) gives 0.8;
+        # d = 0: Gamma(a + nu + j + 1)/Gamma(a + j + 1)
+        terms = np.array([gamma_ratio(a + i + 1.0, nu) for i in range(size)])
     else:
         # suffix products of x/(x + nu); the empty product is 1 when N = 1
         x = np.arange(a + 1.0, n * k)

@@ -12,11 +12,10 @@ from :mod:`qmeasure.stats`. What depends on the measure comes from its spec:
 the JSON record (``to_json``), the exact value (``exact_mean``), the N = 2
 radial law that ``density`` tabulates (``radial_law``) and the exponents at
 which ``trace_power`` is finite (``moment_domain``); ``estimate`` refuses any
-other exponent before it samples. ``analytics`` is imported by ``density``
-and, inside ``exact_mean``, only when a closed form applies, and ``verify``
-by its command, so ``sample``, ``ternary`` and an ``estimate`` without an
-exact value load no scipy module; ``main`` builds its argument parser once
-per process.
+other exponent before it samples. The closed forms of :mod:`qmeasure.analytics`
+run on numpy and the stdlib, so ``sample``, ``ternary``, ``estimate`` and
+``density`` load no scipy module; only ``verify``, imported by its command,
+does. ``main`` builds its argument parser once per process.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import analytics
 from .ensembles import (
     Bures,
     Induced,
@@ -206,8 +206,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_density(args) -> int:
-    from . import analytics
-
     law = _build_measure(args).radial_law()
     if args.bins < 1:
         raise ValueError(f"need --bins >= 1, got {args.bins}")

@@ -28,6 +28,7 @@ from typing import Union
 
 import numpy as np
 
+from . import analytics
 from .core import (
     BipartitePureState,
     DensityMatrix,
@@ -58,15 +59,6 @@ class RandomStream:
         return self._gen
 
 
-def _analytics():
-    """The closed-form module, imported on first use: scipy.special loads
-    with it, and sampling or an estimate without an exact value needs
-    neither."""
-    from . import analytics
-
-    return analytics
-
-
 def _need_n2(measure) -> None:
     if measure.n != 2:
         raise ValueError(f"radial densities are defined for N=2 only, got n={measure.n}")
@@ -81,9 +73,8 @@ class _Measure:
     def exact_mean(self, functional: str, nu: float | None = None) -> float | None:
         """The closed-form mean of ``functional`` under this measure
         (``trace_power`` with exponent ``nu``), or None where none is known.
-        The participation ratio is 1 / <Tr rho^2>. ``analytics`` is imported
-        only once a closed form applies, and raises DomainError for an
-        exponent outside its domain."""
+        The participation ratio is 1 / <Tr rho^2>. ``analytics`` raises
+        DomainError for an exponent outside its domain."""
         if functional == "participation_ratio":
             purity = self._exact("purity", None)
             return None if purity is None else 1.0 / purity
@@ -122,11 +113,11 @@ class Induced(_Measure):
         if self.beta != 2:
             return None
         if functional == "purity":
-            return _analytics().purity_induced_exact(n, k)
+            return analytics.purity_induced_exact(n, k)
         if functional == "entropy":
-            return _analytics().induced_mean_entropy_exact(n, k)
+            return analytics.induced_mean_entropy_exact(n, k)
         if functional == "trace_power":
-            return _analytics().induced_moment_exact(n, k, nu).value
+            return analytics.induced_moment_exact(n, k, nu).value
         if n == k == 2:
             return {"tangle": 0.4, "concurrence": 3.0 * math.pi / 16.0}.get(functional)
         return None
@@ -212,9 +203,9 @@ class Bures(_Measure):
 
     def _exact(self, functional: str, nu: float | None) -> float | None:
         if functional == "purity":
-            return _analytics().bures_purity_exact(self.n)
+            return analytics.bures_purity_exact(self.n)
         if functional == "entropy":
-            return _analytics().bures_mean_entropy_exact(self.n)
+            return analytics.bures_mean_entropy_exact(self.n)
         return None
 
     def radial_law(self) -> tuple[float, float]:

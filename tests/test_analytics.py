@@ -329,6 +329,19 @@ _RADIAL_SPECS = st.one_of(
 
 @settings(deadline=None)
 @given(measure=_RADIAL_SPECS)
+def test_radial_density_matches_oracle(measure):
+    from oracles import radial_density_n2 as oracle
+
+    # u = 4r^2 = j^2/1024 and 1 - u are exact, so the two shapes agree and
+    # the comparison is one of the constants 1/B(a, b)
+    r = np.arange(1, 32) / 64.0
+    want = oracle(r, *measure.radial_law())
+    keep = want > 1e-290  # both underflow alike below
+    np.testing.assert_allclose(density(measure, r)[keep], want[keep], rtol=1e-14)
+
+
+@settings(deadline=None)
+@given(measure=_RADIAL_SPECS)
 def test_radial_cdf_rises_from_zero_to_one(measure):
     values = cdf(measure, np.linspace(0.0, 0.5, 257))
     assert values[0] == 0.0 and values[-1] == 1.0
@@ -488,6 +501,18 @@ def test_induced_moment_domain():
 def test_induced_moment_extreme_exponents(n, k, nu, exact):
     # regression: poch(nk, nu) overflowed or underflowed, giving 0 or NaN
     assert induced_moment_exact(n, k, nu).value == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("n, k, nu, exact", [
+    # 40-digit mpmath evaluations of the kernel sum; an lgamma difference for
+    # Gamma(nk + nu)/Gamma(nk) was 4.6e-12 off at nk = 4096
+    (64, 64, 0.5, 6.791053678217154083448377409434950369508),
+    (64, 64, 2.5, 0.006060372238192671643736443219204006256890),
+    (32, 128, 0.5, 5.474243374152195902831904641902744760052),
+    (16, 64, 1.5, 0.2730871294174329285160917407332672871405),
+])
+def test_induced_moment_non_integer_nu_is_exact(n, k, nu, exact):
+    assert induced_moment_exact(n, k, nu).value == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("n, k, nu", [(3, 5, 1.5), (2, 7, 0.5), (4, 4, 0.3), (3, 2, 0.5)])

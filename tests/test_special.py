@@ -1,11 +1,17 @@
+import math
+
 import numpy as np
+import oracles
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
 from qmeasure.errors import DomainError
 from qmeasure.special import (
     EULER_GAMMA,
     digamma,
+    gamma_ratio,
     gauss_laguerre_nodes,
     laguerre_sum_sq,
     log_gamma,
@@ -45,8 +51,90 @@ def test_digamma_euler_constant():
 def test_digamma_recurrence():
     for x in (0.5, 1.0, 2.7, 9.0):
         assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x, rel=1e-12)
-    with pytest.raises(DomainError):
-        digamma(-1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            digamma(bad)
+
+
+def _ulps(got: float, want: float, floor: float = 0.0) -> float:
+    return abs(got - want) / math.ulp(max(abs(want), floor))
+
+
+# psi is within 2 ulps of max(|psi(x)|, 1) and the scipy oracle within 1.5
+PSI_ULPS = 4.5
+
+
+@given(x=st.integers(1, 10**6).map(float) | st.integers(2, 2 * 10**6).map(lambda i: i / 2)
+       | st.floats(0.5, 1e8))
+def test_digamma_matches_scipy_oracle(x):
+    assert _ulps(digamma(x), oracles.digamma(x), 1.0) <= PSI_ULPS
+
+
+@pytest.mark.parametrize("x, want", [
+    # 400-digit mpmath values, outside the oracle's range or at psi's root
+    (1e-8, -100000000.57721564636),
+    (0.01, -100.56088545786867242),
+    (1.4616321449683622, -9.2412655217294275168e-17),
+    (1e12, 27.631021115928048208),
+    (1e300, 690.77552789821370526),
+])
+def test_digamma_mpmath_values(x, want):
+    assert _ulps(digamma(x), want, 1.0) <= PSI_ULPS
+
+
+def _ratio_ulps(a: float) -> float:
+    # the fractional part is within 4 ulps and each of the |floor(a)| factors
+    # of the integer part adds at most one; the oracle is within 3.5
+    return 7.5 + abs(math.floor(a))
+
+
+@st.composite
+def _ratio_args(draw):
+    x = draw(st.floats(0.5, 5000.0) | st.integers(1, 10000).map(lambda i: i / 2))
+    a = draw(st.floats(-x, 200.0, exclude_min=True)
+             | st.integers(math.floor(-2.0 * x), 400).map(lambda i: i / 2))
+    # stay inside the double range, where the oracle is finite
+    assume(x + a > 0 and abs(math.lgamma(x + a) - math.lgamma(x)) < 700)
+    return x, a
+
+
+@settings(deadline=None)
+@given(args=_ratio_args())
+def test_gamma_ratio_matches_oracle(args):
+    x, a = args
+    assert _ulps(gamma_ratio(x, a), oracles.gamma_ratio(x, a)) <= _ratio_ulps(a)
+
+
+@pytest.mark.parametrize("x, a, want", [
+    # 400-digit mpmath values; scipy's poch is 41,000 ulps off at (4096, 0.5)
+    (4096.0, 0.5, 63.998046904806869715),
+    (4096.0, -0.5, 0.015626430693396867224),
+    (1000000.25, 0.75, 31622.779566319485748),
+    (25000000.0, -3.5, 1.280000403200085008e-26),
+    (1e300, 0.5, 1.0000000000000000263e150),
+    (1e-5, 0.5, 0.00001772429279939591658),
+    (0.3, -0.2999, 3342.534611231557626),
+    (7.25, -7.0, 0.0031380210203739615504),
+])
+def test_gamma_ratio_mpmath_values(x, a, want):
+    assert _ulps(gamma_ratio(x, a), want) <= _ratio_ulps(a)
+
+
+def test_gamma_ratio_integer_a_is_the_product():
+    assert gamma_ratio(4.0, 2.0) == 20.0
+    assert gamma_ratio(0.5, 3.0) == 0.5 * 1.5 * 2.5
+    assert gamma_ratio(5.0, -2.0) == 1.0 / 12.0
+    assert gamma_ratio(7.0, 0.0) == 1.0
+
+
+def test_gamma_ratio_range_and_domain():
+    assert gamma_ratio(123456.5, 150.5) == math.inf  # 2.05e766
+    assert gamma_ratio(1000.0, -999.5) == 0.0
+    assert gamma_ratio(3.0, 1e308) == math.inf  # ends after a few factors
+    assert gamma_ratio(3.0, math.inf) == math.inf
+    for x, a in ((0.0, 1.0), (-1.0, 2.5), (2.0, -2.0), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError):
+            gamma_ratio(x, a)
 
 
 def test_gauss_laguerre_factorial_moments():

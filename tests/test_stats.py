@@ -396,6 +396,9 @@ for argv in (
      "--nu=-1e308"],
     ["estimate", "--measure", "bures", "--n", "3", "--functional", "trace_power", "--nu=-0.7"],
     ["estimate", "--measure", "hs", "--n", "4", "--functional", "entropy", "--samples", "200"],
+    ["estimate", "--measure", "hs", "--n", "3", "--functional", "trace_power", "--nu", "0.5",
+     "--samples", "200"],
+    ["density", "--measure", "induced", "--n", "2", "--k", "5"],
 ):
     code = cli.main(argv + ["--out", sys.argv[1]])
     steps.append([" ".join(argv), code, scipy_modules()])
@@ -407,13 +410,12 @@ def test_import_loads_no_quadrature(tmp_path):
     import json
 
     steps = json.loads(_fresh_python(_SCIPY_AFTER_EACH_STEP, str(tmp_path / "out.txt")))
-    # the two divergent moments are refused, without sampling or scipy
-    assert [code for _, code, _ in steps] == [0] * 7 + [2, 2, 0]
-    for name, _, modules in steps[:-1]:
+    # the two divergent moments are refused, without sampling or scipy; the
+    # closed forms of the HS(4) entropy, the nu = 0.5 moment and the radial
+    # density run on numpy and the stdlib
+    assert [code for _, code, _ in steps] == [0] * 7 + [2, 2, 0, 0, 0]
+    for name, _, modules in steps:
         assert modules == [], name
-    estimate = steps[-1][2]
-    assert "scipy.special" in estimate
-    assert not [m for m in estimate if m.startswith(("scipy.integrate", "scipy.linalg"))]
 
 
 # samples spectra and matrices under every measure kind, evaluates every
