@@ -19,15 +19,13 @@ battery calls, imports scipy, inside the function.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureFailure
-from .special import digamma, gamma_ratio, gauss_laguerre_nodes, laguerre_sum_sq, log_gamma
-
-_QUAD_NODES_SMOOTH = 128       # plenty for polynomial integrands (integer nu)
-_QUAD_NODES_SINGULAR = 1024    # non-integer nu: x^nu has a weak singularity at 0
+from .errors import DomainError
+from .special import digamma, gamma_ratio, log_gamma
 
 
 @dataclass(frozen=True)
@@ -209,34 +207,6 @@ def entanglement_cdf_n2(kind: str, x):
     raise DomainError(f"kind must be 'tangle' or 'concurrence', got {kind!r}")
 
 
-def hs_moment_quadrature(n: int, nu: float, count: int | None = None) -> float:
-    """Gauss-Laguerre evaluation of <Tr rho^nu> under the Hilbert-Schmidt
-    measure, via the Laguerre-kernel integral. Raises QuadratureFailure when
-    halving the node count moves the result by more than 1e-8 relative."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if not nu > -1:
-        raise DomainError(f"need nu > -1, got {nu}")
-    if count is None:
-        count = _QUAD_NODES_SMOOTH if float(nu).is_integer() else _QUAD_NODES_SINGULAR
-    count = max(count, 2 * n + 8)
-    scale = math.exp(log_gamma(n * n) - log_gamma(n * n + nu))
-
-    def kernel_integral(nodes: int) -> float:
-        x, w = gauss_laguerre_nodes(nodes)
-        x, w = x[w > 0.0], w[w > 0.0]
-        return float(scale * np.sum(w * x**nu * laguerre_sum_sq(n, x)))
-
-    value, check = kernel_integral(count), kernel_integral(count // 2)
-    residual = abs(value - check) / max(abs(value), 1e-300)
-    if residual > 1e-8:
-        raise QuadratureFailure(
-            f"moment quadrature unstable: residual {residual:.3e} between "
-            f"{count // 2} and {count} nodes"
-        )
-    return value
-
-
 def induced_moment_exact(n: int, k: int, nu: float) -> MomentReport:
     """<Tr rho^nu> under the induced measure (beta = 2), from the Laguerre
     kernel: with N = min(n, k) and a = |k - n| it is Gamma(nk)/Gamma(nk + nu)
@@ -249,7 +219,11 @@ def induced_moment_exact(n: int, k: int, nu: float) -> MomentReport:
     Gamma(a + j + 1 + nu)/Gamma(a + j + 1) over Gamma(nk + nu)/Gamma(nk) is
     the product of x/(x + nu) over the integers x from a + j + 1 to nk - 1,
     and no partial product exceeds the largest seed. It needs nu > n - k - 1
-    for k >= n, and nu > 0 for k < n, where rho has n - k zero eigenvalues."""
+    for k >= n, and nu > 0 for k < n, where rho has n - k zero eigenvalues.
+    DomainError is raised where a seed underflows, which would lose the terms
+    grown from it (huge nu, from ~1e39 at n = k = 3, and nu = inf wherever
+    min(n, k) > 1; at min(n, k) = 1 rho is pure and the moment is 1), and
+    where the moment exceeds the double range."""
     if n < 1 or k < 1:
         raise DomainError(f"need n, k >= 1, got n={n}, k={k}")
     lowest = n - k - 1 if k >= n else 0
@@ -258,21 +232,30 @@ def induced_moment_exact(n: int, k: int, nu: float) -> MomentReport:
     size, a = min(n, k), abs(k - n)
     j = np.arange(size, dtype=np.float64)
     scale = gamma_ratio(n * k, nu)
-    if 0 < scale < math.inf:
-        # one division at the end keeps integer nu exact: (2, 2, 2) gives 0.8;
-        # d = 0: Gamma(a + nu + j + 1)/Gamma(a + j + 1)
-        terms = np.array([gamma_ratio(a + i + 1.0, nu) for i in range(size)])
-    else:
-        # suffix products of x/(x + nu); the empty product is 1 when N = 1
-        x = np.arange(a + 1.0, n * k)
-        terms = np.append(np.cumprod((x / (x + nu))[::-1])[::-1], 1.0)[:size]
-        scale = 1.0
-    total = terms.sum()
-    for d in range(1, size):
-        jd = j[: size - d] + d
-        terms = terms[:-1] * ((nu - d + 1) / d) ** 2 * jd / (a + jd)
-        total += terms.sum()
-    return MomentReport(n, k, 2, nu, float(total / scale), "closed-form")
+    # an overflow leaves inf in the value, which is refused below
+    with np.errstate(over="ignore"):
+        if 0 < scale < math.inf:
+            # one division at the end keeps integer nu exact: (2, 2, 2) gives
+            # 0.8; d = 0: Gamma(a + nu + j + 1)/Gamma(a + j + 1)
+            terms = np.array([gamma_ratio(a + i + 1.0, nu) for i in range(size)])
+        else:
+            # suffix products of x/(x + nu); the empty product is 1 when N = 1
+            x = np.arange(a + 1.0, n * k)
+            terms = np.append(np.cumprod((x / (x + nu))[::-1])[::-1], 1.0)[:size]
+            if not terms.min() >= sys.float_info.min:
+                raise DomainError(f"<Tr rho^nu> at n={n}, k={k}, nu={nu} cannot be "
+                                  "evaluated in double precision: its terms underflow")
+            scale = 1.0
+        total = terms.sum()
+        for d in range(1, size):
+            jd = j[: size - d] + d
+            # a nu above 1e154, whose square overflows, has underflowed a seed
+            terms = terms[:-1] * ((nu - d + 1) / d) ** 2 * jd / (a + jd)
+            total += terms.sum()
+    value = float(total / scale)
+    if not value < math.inf:
+        raise DomainError(f"<Tr rho^nu> at n={n}, k={k}, nu={nu} exceeds the double range")
+    return MomentReport(n, k, 2, nu, value, "closed-form")
 
 
 def hs_moment_exact(n: int, nu: float) -> MomentReport:

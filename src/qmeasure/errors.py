@@ -17,9 +17,5 @@ class DomainError(QMeasureError):
     """Argument lies outside the mathematical domain of the function."""
 
 
-class QuadratureFailure(QMeasureError):
-    """Numerical integration did not reach the requested accuracy."""
-
-
 class InsufficientData(QMeasureError):
     """Too few samples (or expected counts) for a meaningful statistic."""

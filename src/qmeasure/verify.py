@@ -5,15 +5,21 @@ seed, so criteria are independent and the whole battery is reproducible for
 a fixed (seed, workers) configuration. Monte Carlo gates use three-standard-
 error bands (which widen automatically at smaller sample counts); KS and
 chi-square gates use p > 0.01.
+
+The deterministic criteria check the closed forms of :mod:`qmeasure.analytics`
+themselves: criterion 8 integrates ``joint_eigenvalue_density`` with
+Gauss-Legendre rules, and criterion 9 compares the moments with exact
+fractions from the complex Wishart moment recursion. Only ``scipy.special``
+is loaded, by the p-values and the radial CDFs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from . import analytics
 from .ensembles import (
@@ -190,47 +196,34 @@ def criterion_7(config: BatteryConfig) -> CriterionResult:
     return res
 
 
-def _simplex_mass_n2(n: int, k: int, beta: int) -> float:
-    """Integral of the normalized N=2 joint density over the simplex via the
-    lam = sin^2(t) substitution (exact to quad precision, singularities gone)."""
-    a = (beta * (k - n) + beta - 2) / 2.0
-    log_c = analytics.log_norm_constant(n, k, beta)
-
-    def integrand(t: float) -> float:
-        lam = math.sin(t) ** 2
-        mu = 1.0 - lam
-        val = beta * math.log(abs(math.cos(2 * t))) + math.log(math.sin(2 * t))
-        if a != 0.0:
-            if lam == 0.0 or mu == 0.0:
-                return 0.0 if a > 0 else math.inf
-            val += a * (math.log(lam) + math.log(mu))
-        return math.exp(log_c + val)
-
-    lo, _ = integrate.quad(integrand, 0.0, math.pi / 4, limit=200)
-    hi, _ = integrate.quad(integrand, math.pi / 4, math.pi / 2, limit=200)
-    return lo + hi
+def _simplex_mass_n2(k: int, beta: int) -> float:
+    """Integral of joint_eigenvalue_density at N = 2 over the simplex. With
+    l = sin^2 t, dl = sin 2t dt, the endpoint singularities go, and a 64-node
+    Gauss-Legendre rule on each side of the kink |cos 2t| at t = pi/4 sums it."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    t = np.pi / 8 * np.concatenate([x + 1.0, x + 3.0])
+    dens = [analytics.joint_eigenvalue_density([math.sin(s) ** 2, math.cos(s) ** 2], 2, k, beta)
+            for s in t]
+    return float(np.pi / 8 * np.dot(np.tile(w, 2), dens * np.sin(2.0 * t)))
 
 
-def _simplex_mass_33(beta: int = 2) -> float:
-    """Integral of the normalized (3,3,beta=2) joint density over the simplex."""
-    c = math.exp(analytics.log_norm_constant(3, 3, 2))
-
-    def integrand(l2: float, l1: float) -> float:
-        l3 = 1.0 - l1 - l2
-        if l3 < 0.0:
-            return 0.0
-        return c * ((l1 - l2) * (l1 - l3) * (l2 - l3)) ** 2
-
-    val, _ = integrate.dblquad(integrand, 0.0, 1.0, 0.0, lambda l1: 1.0 - l1,
-                               epsabs=1e-10, epsrel=1e-10)
-    return val
+def _simplex_mass_33() -> float:
+    """Integral of joint_eigenvalue_density at (3, 3, beta = 2) over the
+    simplex. With l1 = u and l2 = (1 - u) v (Jacobian 1 - u), the degree-6
+    polynomial density is integrated exactly by an 8 x 8 Gauss-Legendre rule."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    u, v = np.meshgrid((x + 1.0) / 2, (x + 1.0) / 2, indexing="ij")
+    l2 = (1.0 - u) * v
+    dens = [analytics.joint_eigenvalue_density([a, b, 1.0 - a - b], 3, 3, 2)
+            for a, b in zip(u.flat, l2.flat)]
+    return float(np.dot((np.outer(w, w) / 4 * (1.0 - u)).ravel(), dens))
 
 
 def criterion_8(config: BatteryConfig) -> CriterionResult:
     res = CriterionResult(8, "normalization constants vs quadrature")
-    for n, k, beta in [(2, 2, 2), (2, 3, 2), (2, 2, 1), (2, 2, 4)]:
-        mass = _simplex_mass_n2(n, k, beta)
-        res.add(f"unit mass ({n},{k},beta={beta})", abs(mass - 1.0) <= 1e-6, mass=mass)
+    for k, beta in [(2, 2), (3, 2), (2, 1), (2, 4)]:
+        mass = _simplex_mass_n2(k, beta)
+        res.add(f"unit mass (2,{k},beta={beta})", abs(mass - 1.0) <= 1e-6, mass=mass)
     mass33 = _simplex_mass_33()
     res.add("unit mass (3,3,beta=2)", abs(mass33 - 1.0) <= 1e-6, mass=mass33)
     const = analytics.bures_norm_constant(3)
@@ -240,17 +233,33 @@ def criterion_8(config: BatteryConfig) -> CriterionResult:
     return res
 
 
+def _wishart_moment(n: int, k: int, p: int) -> Fraction:
+    """<Tr rho^p> under the induced measure, exactly: D(p) = E Tr W^p of the
+    complex Wishart matrix W = G G^* (G n x k, E|g|^2 = 1) obeys
+    (p + 2) D(p + 1) = (2p + 1)(n + k) D(p) + (p - 1)(p^2 - (n - k)^2) D(p - 1)
+    with D(1) = nk, D(2) = nk(n + k) (Haagerup and Thorbjornsen, Expo. Math.
+    21 (2003) 293), and Tr W, a Gamma(nk) variate independent of rho, has
+    p-th moment nk (nk + 1) ... (nk + p - 1)."""
+    prev, cur = Fraction(n * k), Fraction(n * k * (n + k))
+    for q in range(2, p):
+        prev, cur = cur, ((2 * q + 1) * (n + k) * cur
+                          + (q - 1) * (q * q - (n - k) ** 2) * prev) / (q + 2)
+    return (cur if p > 1 else prev) / math.prod(range(n * k, n * k + p))
+
+
+def _ulps(value: float, exact: Fraction) -> float:
+    return float(abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact))))
+
+
 def criterion_9(config: BatteryConfig) -> CriterionResult:
-    res = CriterionResult(9, "closed-form vs Gauss-Laguerre moments")
-    worst = 0.0
-    for n in range(2, 9):
-        for nu in (2, 3, 4):
-            closed = analytics.hs_moment_exact(n, nu).value
-            quad = analytics.hs_moment_quadrature(n, nu)
-            worst = max(worst, abs(closed - quad))
-    res.add("agreement nu in {2,3,4}, N <= 8", worst <= 1e-9, worst_abs_diff=worst)
-    worst_tr = max(abs(analytics.hs_moment_quadrature(n, 1.0) - 1.0) for n in range(2, 9))
-    res.add("trace moment nu=1", worst_tr <= 1e-12, worst_abs_diff=worst_tr)
+    res = CriterionResult(9, "closed-form moments vs the Wishart moment recursion")
+    worst = max(_ulps(analytics.hs_moment_exact(n, nu).value, _wishart_moment(n, n, nu))
+                for n in range(2, 9) for nu in (2, 3, 4))
+    res.add("agreement nu in {2,3,4}, N <= 8, within 4 ulps", worst <= 4.0, worst_ulps=worst)
+    worst_tr = max(abs(analytics.induced_moment_exact(n, k, 1).value - 1.0)
+                   for n in range(1, 9) for k in range(1, 17))
+    res.add("trace moment nu=1 equals 1, N <= 8, K <= 16", worst_tr == 0.0,
+            worst_abs_diff=worst_tr)
     return res
 
 

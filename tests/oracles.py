@@ -7,16 +7,14 @@ import numpy as np
 from scipy import integrate, special
 from scipy.interpolate import PchipInterpolator
 
-from qmeasure.errors import QuadratureFailure
-
 
 def numeric_cdf(density, lo: float, hi: float):
     """Turn an integrable density on [lo, hi] into a monotone CDF callable.
 
     The density is integrated piecewise with adaptive quadrature over a
     cosine-clustered grid (dense near both endpoints, where these densities
-    may be singular) and interpolated monotonically. Raises QuadratureFailure
-    if the total mass misses 1 by more than 1e-8.
+    may be singular) and interpolated monotonically. Raises ValueError if
+    the total mass misses 1 by more than 1e-8.
     """
     nodes = 1600
     t = np.linspace(0.0, np.pi, nodes + 1)
@@ -27,7 +25,7 @@ def numeric_cdf(density, lo: float, hi: float):
     cum = np.concatenate([[0.0], np.cumsum(masses)])
     total = cum[-1]
     if abs(total - 1.0) > 1e-8:
-        raise QuadratureFailure(f"density mass is {total!r}, not 1")
+        raise ValueError(f"density mass is {total!r}, not 1")
     cum = np.maximum.accumulate(cum) / total
     interp = PchipInterpolator(grid, cum)
 
@@ -90,3 +88,14 @@ def radial_density_n2(r, a: float, b: float):
     r = np.asarray(r, dtype=np.float64)
     shape = 4.0 * (2.0 * r) ** (2.0 * a - 1.0) * (1.0 - 4.0 * r * r) ** (b - 1.0)
     return shape * (gamma_ratio(b, a) / float(special.gamma(a)))
+
+
+def rational_moment(n: int, nu: int) -> Fraction:
+    """The Hilbert-Schmidt moments <Tr rho^nu> at nu = 2, 3, 4, as exact
+    fractions."""
+    n2 = n * n
+    if nu == 2:
+        return Fraction(2 * n, n2 + 1)
+    if nu == 3:
+        return Fraction(5 * n2 + 1, (n2 + 1) * (n2 + 2))
+    return Fraction(14 * n**3 + 10 * n, (n2 + 1) * (n2 + 2) * (n2 + 3))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import rational_moment
 from scipy import integrate
 from scipy.special import xlogy
 
@@ -15,7 +16,6 @@ from qmeasure.analytics import (
     entanglement_cdf_n2,
     hs_mean_entropy_exact,
     hs_moment_exact,
-    hs_moment_quadrature,
     induced_mean_entropy_exact,
     induced_moment_exact,
     joint_eigenvalue_density,
@@ -35,16 +35,6 @@ def page_entropy(n: int, k: int | None = None) -> float:
     # measure (Hilbert-Schmidt when k is omitted)
     small, big = sorted((n, n if k is None else k))
     return sum(1.0 / j for j in range(big + 1, small * big + 1)) - (small - 1) / (2.0 * big)
-
-
-def rational_moment(n: int, nu: int) -> float:
-    # the rational Hilbert-Schmidt moments at nu = 2, 3, 4
-    n2 = n * n
-    if nu == 2:
-        return 2.0 * n / (n2 + 1)
-    if nu == 3:
-        return (5.0 * n2 + 1) / ((n2 + 1) * (n2 + 2))
-    return (14.0 * n**3 + 10.0 * n) / ((n2 + 1) * (n2 + 2) * (n2 + 3))
 
 
 def _arcsin_cdf(r):
@@ -437,13 +427,6 @@ def test_hs_moment_trace_identity():
         assert abs(rep.value - 1.0) <= 1e-12
 
 
-def test_hs_moment_quadrature_agrees_with_closed_form():
-    for n in range(1, 9):
-        for nu in (2, 3, 4):
-            closed = hs_moment_exact(n, nu).value
-            assert abs(hs_moment_quadrature(n, nu) - closed) <= 1e-9
-
-
 def test_hs_moment_non_integer_exponent():
     val = hs_moment_exact(3, 2.5)
     assert val.method == "closed-form"
@@ -451,7 +434,7 @@ def test_hs_moment_non_integer_exponent():
 
 
 def test_hs_moment_small_exponents():
-    # regression: nu in (-1, 1) used to raise QuadratureFailure at every n
+    # regression: nu in (-1, 1) used to fail the Gauss-Laguerre route at every n
     for nu in (-0.5, 0.1, 0.3, 0.5, 0.7, 0.9):
         assert hs_moment_exact(1, nu).value == 1.0
         previous = 1.0
@@ -464,8 +447,8 @@ def test_hs_moment_small_exponents():
 def test_hs_moment_rational_oracles():
     for n in range(1, 33):
         for nu in (2, 3, 4):
-            assert hs_moment_exact(n, nu).value == pytest.approx(rational_moment(n, nu),
-                                                                 rel=1e-12)
+            assert hs_moment_exact(n, nu).value == pytest.approx(
+                float(rational_moment(n, nu)), rel=1e-12)
 
 
 def test_induced_moment_trace_identity():
@@ -474,11 +457,28 @@ def test_induced_moment_trace_identity():
     assert worst <= 1e-12
 
 
-def test_induced_moment_matches_quadrature_oracle():
-    for n in range(2, 9):
-        for nu in (1.5, 2.5, 3.7):
-            exact = induced_moment_exact(n, n, nu).value
-            assert exact == pytest.approx(hs_moment_quadrature(n, nu), rel=1e-9)
+# 40-digit mpmath quadrature of the Laguerre-kernel integral
+# Gamma(n^2)/Gamma(n^2 + nu) int_0^inf x^nu e^-x sum_{m<n} L_m(x)^2 dx
+KERNEL_INTEGRALS = {
+    (2, 1.5): "0.8761904761904761904761904761904761904762",
+    (2, 2.5): "0.7445887445887445887445887445887445887446",
+    (2, 3.7): "0.6481589811301833497685146495963630893684",
+    (3, 1.5): "0.7515555651778561995280261534131503171751",
+    (3, 2.5): "0.4956529538572882226133000126808176343780",
+    (3, 3.7): "0.3371003086900317956335140788819727163895",
+    (5, 1.5): "0.5979736498627936050897596149025605791579",
+    (5, 2.5): "0.2587965406996974246968074016119951480389",
+    (5, 3.7): "0.1113390068595141596286039698872554577586",
+    (8, 1.5): "0.4772315323426575996567493939178897356129",
+    (8, 2.5): "0.1334125900161121895215804133496240664907",
+    (8, 3.7): "0.03467725789300555217897884147607228262920",
+}
+
+
+@pytest.mark.parametrize("n, nu", KERNEL_INTEGRALS)
+def test_induced_moment_matches_kernel_integral(n, nu):
+    exact = float(KERNEL_INTEGRALS[n, nu])
+    assert induced_moment_exact(n, n, nu).value == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 def test_induced_moment_domain():
@@ -500,7 +500,29 @@ def test_induced_moment_domain():
 ])
 def test_induced_moment_extreme_exponents(n, k, nu, exact):
     # regression: poch(nk, nu) overflowed or underflowed, giving 0 or NaN
-    assert induced_moment_exact(n, k, nu).value == pytest.approx(exact, rel=1e-13)
+    assert induced_moment_exact(n, k, nu).value == pytest.approx(exact, rel=1e-13, abs=0)
+
+
+def test_induced_moment_huge_nu():
+    # HS(2): <Tr rho^nu> = 6 (nu^2 + nu + 2)/((nu + 1)(nu + 2)(nu + 3)), ~ 6/nu
+    for nu in (1e10, 1e50, 1e100):
+        exact = 6 * (nu * nu + nu + 2) / ((nu + 1) * (nu + 2) * (nu + 3))
+        assert induced_moment_exact(2, 2, nu).value == pytest.approx(exact, rel=1e-15, abs=0)
+    # regression: a seed that underflowed dropped the terms grown from it, so
+    # (3, 3) at nu = 1e50 gave 2.0e-296 instead of about 1.0e-196, and
+    # nu = 1e308 overflowed the square of C(nu, d)/C(nu, d - 1)
+    for n, k, nu in [(3, 3, 1e50), (3, 3, 1e308), (2, 2, 1e308), (8, 8, 1e20)]:
+        with pytest.raises(DomainError, match="underflow"):
+            induced_moment_exact(n, k, nu)
+    # a moment beyond the double range, near the pole nu = n - k - 1
+    with pytest.raises(DomainError, match="exceeds the double range"):
+        induced_moment_exact(2, 1000, -998.9)
+    for nu in (np.inf, np.nan, -np.inf):
+        with pytest.raises(DomainError):
+            induced_moment_exact(3, 3, nu)
+    # min(n, k) = 1: rho is pure, so <Tr rho^nu> = 1 up to nu = inf
+    for n, k in [(1, 5), (4, 1)]:
+        assert induced_moment_exact(n, k, np.inf).value == 1.0
 
 
 @pytest.mark.parametrize("n, k, nu, exact", [

@@ -325,6 +325,26 @@ def test_estimate_checks_nu_before_sampling(capsys, monkeypatch):
     assert captured.err == "error: need nu > -1 at n=3, k=3, got -1e+308\n"
 
 
+@pytest.mark.parametrize("nu, message", [
+    ("1e308", "error: <Tr rho^nu> at n=3, k=3, nu=1e+308 cannot be evaluated in double "
+              "precision: its terms underflow\n"),
+    ("inf", "error: <Tr rho^nu> at n=3, k=3, nu=inf cannot be evaluated in double "
+            "precision: its terms underflow\n"),
+], ids=["1e308", "inf"])
+def test_estimate_refuses_huge_and_infinite_nu(capsys, nu, message):
+    # regression: nu = 1e308 raised OverflowError with a traceback, and
+    # nu = inf printed a RuntimeWarning before its error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["estimate", "--measure", "hs", "--n", "3", "--functional", "trace_power",
+                     f"--nu={nu}", "--samples", "100"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert caught == []
+    assert captured.out == ""
+    assert captured.err == message
+
+
 _SPECS = st.one_of(
     st.builds(Induced, st.integers(1, 5), st.integers(1, 6), st.sampled_from([1, 2, 4])),
     st.builds(ProductDirichlet, st.integers(1, 4), st.floats(1e-5, 50.0)),

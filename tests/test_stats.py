@@ -26,7 +26,7 @@ from qmeasure import (
 )
 from qmeasure import ensembles
 from qmeasure.analytics import radial_density_n2
-from qmeasure.errors import DimensionMismatch, InsufficientData, QuadratureFailure
+from qmeasure.errors import DimensionMismatch, InsufficientData
 from qmeasure.stats import chi2_test, spectrum_functional
 
 from oracles import numeric_cdf
@@ -354,7 +354,7 @@ def test_numeric_cdf_bures_singular_endpoint():
 
 
 def test_numeric_cdf_rejects_unnormalized():
-    with pytest.raises(QuadratureFailure):
+    with pytest.raises(ValueError, match="density mass"):
         numeric_cdf(lambda x: 1.0, 0.0, 2.0)
 
 
@@ -416,6 +416,25 @@ def test_import_loads_no_quadrature(tmp_path):
     assert [code for _, code, _ in steps] == [0] * 7 + [2, 2, 0, 0, 0]
     for name, _, modules in steps:
         assert modules == [], name
+
+
+# runs the battery's quadrature and moment criteria and prints the scipy
+# subpackages then loaded
+_BATTERY_CRITERIA_8_9 = """
+import json, sys
+from qmeasure.verify import BatteryConfig, run_criterion
+passed = [run_criterion(i, BatteryConfig()).passed for i in (8, 9)]
+print(json.dumps([passed, sorted({".".join(m.split(".")[:2]) for m in sys.modules
+                                 if m.startswith("scipy.")})]))
+"""
+
+
+def test_battery_quadrature_and_moments_load_no_integrate_or_linalg():
+    import json
+
+    passed, subpackages = json.loads(_fresh_python(_BATTERY_CRITERIA_8_9))
+    assert passed == [True, True]
+    assert not {"scipy.integrate", "scipy.optimize", "scipy.linalg"} & set(subpackages)
 
 
 # samples spectra and matrices under every measure kind, evaluates every
