@@ -15,10 +15,14 @@ run on for the per-row linear algebra. Their output does not depend on the
 CPU count: each chunk's RNG draws are made on the calling thread in stream
 order, and only the matrix formation, eigensolve, normalisation and checks of
 independent rows are spread over one shared, lazily created thread pool.
+Induced spectra at small n are the exception: their eigenvalues come from
+:func:`_small_tridiagonal_eigvals`, a column-arithmetic copy of LAPACK's
+dsterf with ``eigvalsh``'s bits, which runs on the calling thread.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -364,8 +368,9 @@ def sample_spectra(measure: MeasureSpec, count: int, stream: RandomStream) -> np
     beta, product-Dirichlet spectra from normalized Gamma variates, and Bures
     spectra from a closed form at n = 2 and the (1 + U) G construction above.
     Every route is exact and rejection-free. Large calls run their per-row
-    linear algebra on every CPU the process may run on; the output is the
-    same on any number of CPUs.
+    linear algebra on every CPU the process may run on, except induced
+    spectra at n <= 4, whose eigensolve runs on the calling thread; the
+    output is the same on any number of CPUs.
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
@@ -472,6 +477,10 @@ else:
 # time at 2^14 entries, 0.75-1.28x at 2^15 (Induced(64,64) the slowest) and
 # 0.70-0.97x at 2^16 for every Induced n <= 64 and Bures n = 3, 5, 8. So two
 # slices of 2^15 entries each are the smallest split that paid everywhere.
+# The finishes that use the pool are the dense eigvalsh of induced spectra
+# (n > _DSTERF_MAX_N, or fewer than _DSTERF_MIN_ROWS rows), Bures n >= 3
+# spectra, the purification route and every sample_matrices measure; the
+# small-n dsterf kernel runs inline (see _DSTERF_MAX_N).
 _SLICE_ENTRIES = 2**15
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -535,8 +544,24 @@ def _laguerre_spectra(n: int, k: int, beta: int, count: int, rng: np.random.Gene
     def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
         return rng.chisquare(diag_df, size=(m, n)), rng.chisquare(sub_df, size=(m, n - 1))
 
-    eigvals = _eigvals_2x2 if n == 2 else _tridiagonal_eigvals
-    return _batched_spectra(n, count, max(1, _CHUNK_ENTRIES // (n * n)), draw, eigvals)
+    chunk = max(1, _CHUNK_ENTRIES // (n * n))
+    if n == 2 or (n <= _DSTERF_MAX_N and count >= _DSTERF_MIN_ROWS):
+        return _batched_spectra(n, count, chunk, draw, _small_tridiagonal_eigvals, pooled=False)
+    return _batched_spectra(n, count, chunk, draw, _tridiagonal_eigvals)
+
+
+# _small_tridiagonal_eigvals serves every call at n = 2, and calls of at
+# least _DSTERF_MIN_ROWS rows for 3 <= n <= _DSTERF_MAX_N; it runs inline, as
+# its numpy calls on blocks of rows hold the GIL between them. Timed on 2
+# CPUs (sample_spectra, median of 21-25 alternating calls) against the
+# dense route on the pool, it took 0.69x the time at (n, k) = (3, 6) and
+# 0.80x at (4, 4) with 2048 rows, 0.63-0.69x at (3, 6) and 0.87x at (4, 4)
+# from 2500 to 10^5 rows, but 1.21x and 1.42x at 512 rows, where its fixed
+# cost of some hundred numpy calls per stage dominates. At n = 5 it took
+# 0.88-1.11x, a tie, and at n = 6 1.03-1.19x. On the pool, in slices of
+# at least 2^15 entries, it took 1.7-1.9x at 5000 rows and 0.74-1.05x at
+# 10^5 rows, no better than inline.
+_DSTERF_MAX_N, _DSTERF_MIN_ROWS = 4, 2048
 
 
 def _tridiagonal_eigvals(d2: np.ndarray, e2: np.ndarray) -> np.ndarray:
@@ -561,79 +586,188 @@ _EPS = np.finfo(np.float64).eps / 2
 # inward: dsterf scales below sqrt(safmin)/eps^2 ~ 1.2e-122, dsyevd above
 # sqrt(eps/safmin) ~ 1.0e146 and dsterf above sqrt(1/safmin)/3 ~ 2.2e153
 _UNSCALED_MIN, _UNSCALED_MAX = 1e-120, 1e145
+# dsterf gives up after 30 n QL sweeps in all. A row of the kernel may take
+# 30 at each of its n - 2 sweeping stages, which stays below that cap.
+_STAGE_SWEEPS = 30
 
 
-def _eigvals_2x2(d2: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """:func:`_tridiagonal_eigvals` at n = 2, with the same bits, as column
-    arithmetic instead of one LAPACK call per row.
+def _small_tridiagonal_eigvals(d2: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """:func:`_tridiagonal_eigvals` with the same bits, as column arithmetic
+    over blocks of rows instead of one LAPACK call per row.
 
-    For T = [[a, b], [b, c]] numpy's eigvalsh runs dsyevd, whose dsytrd is
-    the identity at n = 2, then dsterf, which squares b, takes the root again
-    and hands (a, sqrt(b^2), c) to dlae2; dlae2 is symmetric in a and c, so
-    dsterf's choice between QL and QR does not matter. :func:`_dlae2` repeats
-    dlae2's operations in its order, a block of rows at a time. The rows on
-    which LAPACK would do something else (dsterf's split test, which covers
-    dlae2's a + c <= 0 branches, or its deflation test holds, or dsyevd or
-    dsterf rescales) go to the dense route; sampled rows essentially never
-    do. The bits match LAPACK built without fused multiply-adds, as the
-    x86-64 numpy wheels are.
+    For this T numpy's eigvalsh runs dsyevd, whose dsytrd leaves a
+    tridiagonal matrix as it is, then dsterf. :func:`_dsterf` repeats
+    dsterf's operations in its order on the path that an unsplit, unscaled
+    T takes: square the off-diagonal, choose QL or QR, run implicit QL
+    sweeps until the top off-diagonal deflates, solve the last 2 x 2 by
+    dlae2 and sort. At n = 2 that path has no sweep. The rows on which
+    LAPACK would do something else (an initial split, a deflation below the
+    top of the active block or of the last 2 x 2, a rescaling by dsyevd or
+    dsterf, dsterf's sweep cap) go to the dense route; sampled rows
+    essentially never do. The bits match LAPACK built without fused
+    multiply-adds, as the x86-64 numpy wheels are.
     """
-    out = np.empty((d2.shape[0], 2))
+    out = np.empty(d2.shape)
     for lo in range(0, d2.shape[0], _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
-        lapack_2x2 = _dlae2(d2[block], e2[block], out[block])
-        if not lapack_2x2.all():
-            other = np.flatnonzero(~lapack_2x2) + lo
+        kept = _dsterf(d2[block], e2[block], out[block])
+        if not kept.all():
+            other = np.flatnonzero(~kept) + lo
             out[other] = _tridiagonal_eigvals(d2[other], e2[other])
     return out
 
 
-# Rows per block of _dlae2: its temporaries of 64 kB each stay in the CPU
+# Rows per block of _dsterf: its temporaries of 64 kB each stay in the CPU
 # caches. At 10^5 rows on 2 CPUs, blocks of 2^12..2^14 rows took 0.35-0.5x
-# the time of one pass over all rows, and the memory they hold is bounded.
+# the time of one pass over all rows at n = 2, and the memory they hold is
+# bounded. At n = 3..5, 2^13 and 2^14 rows took the same time within 10%,
+# and 2^11 rows 1.3-1.5x that.
 _BLOCK_ROWS = 2**13
 
 
-def _dlae2(d2: np.ndarray, e2: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write LAPACK dlae2's ascending eigenvalue pair of each row's T into
-    ``out`` and return the mask of the rows on which dsterf calls dlae2 on
-    the unscaled T; the other rows of ``out`` are meaningless."""
+def _dsterf(d2: np.ndarray, e2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write dsterf's ascending eigenvalues of each row's T into ``out`` and
+    return the mask of the rows on which dsterf takes the path repeated
+    here; the other rows of ``out`` are meaningless."""
+    m, n = d2.shape
     # the rows of extreme or degenerate input go to the dense route, which
     # raises the warnings numpy always raised for them
     with np.errstate(all="ignore"):
-        a = d2[:, 0]
-        c = d2[:, 1] + e2[:, 0]
-        off = np.sqrt(a * e2[:, 0])
-        # dsterf's squared off-diagonal, and the root it passes to dlae2
-        esq = off * off
-        b = np.sqrt(esq)
-        sm = a + c
-        # dlae2's three branches for rt in one: the larger of |a - c| and 2b
-        # times sqrt(1 + (smaller/larger)^2), which is larger * sqrt(2) when
-        # the two are equal
-        adf = np.abs(a - c)
-        ab = b + b
-        larger = np.maximum(adf, ab)
-        rt = larger * np.sqrt(1.0 + (np.minimum(adf, ab) / larger) ** 2)
-        rt1 = 0.5 * (sm + rt)
-        # every row kept below has a, c >= 0, so dlae2's larger and smaller
-        # of |a| and |c| are max and min
-        rt2 = (np.maximum(a, c) / rt1) * np.minimum(a, c) - (b / rt1) * b
-        # dsterf sorts the pair ascending
-        np.minimum(rt1, rt2, out=out[:, 0])
-        np.maximum(rt1, rt2, out=out[:, 1])
-        largest = np.maximum(np.maximum(a, c), off)
-        # dsterf's split test fails (so b > 0, a > 0, c >= 0 and a + c > 0),
-        # its deflation test fails and no rescaling happens
-        return (
-            (off > np.sqrt(a) * np.sqrt(c) * _EPS)
-            & (esq > _EPS**2 * (a * c))
-            & (largest >= _UNSCALED_MIN)
-            & (largest <= _UNSCALED_MAX)
-        )
+        # T's diagonal and off-diagonal, one array per entry
+        diag = [d2[:, 0]] + [d2[:, j] + e2[:, j - 1] for j in range(1, n)]
+        off = [np.sqrt(d2[:, j] * e2[:, j]) for j in range(n - 1)]
+        esq = [x * x for x in off]
+        if n == 2:
+            live, (a, c), last = None, diag, esq[0]
+        else:
+            # dsterf runs QR where |d_n| < |d_1| (d >= 0 here), and QR is QL
+            # on the reversed arrays; dlae2 is symmetric in a and c, so at
+            # n = 2 the direction does not matter
+            d, e = np.empty((n, m)), np.empty((n - 1, m))
+            d[:], e[:] = diag, esq
+            qr = d[-1] < d[0]
+            d = np.where(qr, d[::-1], d)
+            e = np.where(qr, e[::-1], e)
+            # from here on d and e hold only the columns in ``live``
+            live = np.flatnonzero(_unsplit_unscaled(diag, off))
+            if live.size < m:
+                d, e = d.take(live, axis=1), e.take(live, axis=1)
+            for top in range(n - 2):
+                d, e, live = _ql_stage(d, e, live, top)
+            a, last, c = d[-2], e[-1], d[-1]
+        rt1, rt2 = _dlae2(a, np.sqrt(last), c)
+        if live is None:
+            # dsterf's ascending sort
+            np.minimum(rt1, rt2, out=out[:, 0])
+            np.maximum(rt1, rt2, out=out[:, 1])
+            # the masks come last, which keeps fewer arrays in the CPU
+            # caches at once; the 2 x 2 does not deflate (a, c >= 0 here)
+            return _unsplit_unscaled(diag, off) & (last > _EPS**2 * (a * c))
+        # the last 2 x 2 does not deflate; a + c > 0 picks dlae2's branch,
+        # as the split test does at n = 2; and so that the sort meets no tie
+        # of zeros of either sign, where its bits could differ from
+        # dlasrt's, no eigenvalue but dlae2's smaller one is 0 (none is NaN)
+        ok = (last > _EPS**2 * np.abs(a * c)) & (a + c > 0) & np.all(d[:-2] != 0, axis=0)
+        d[-2], d[-1] = rt1, rt2
+        # the network on d's rows in reverse order sorts them ascending
+        _sort_network(d[::-1])
+    out[live] = d.T
+    kept = np.zeros(m, dtype=bool)
+    kept[live[ok]] = True
+    return kept
 
 
-def _batched(out: np.ndarray, chunk: int, draw, finish) -> np.ndarray:
+def _unsplit_unscaled(diag: list[np.ndarray], off: list[np.ndarray]) -> np.ndarray:
+    """The mask of the rows of T, given by its diagonal and off-diagonal
+    entries, on which neither dsyevd nor dsterf rescales and dsterf's split
+    test fails."""
+    largest = functools.reduce(np.maximum, diag + off)
+    kept = (largest >= _UNSCALED_MIN) & (largest <= _UNSCALED_MAX)
+    for j, x in enumerate(off):
+        kept &= x > np.sqrt(diag[j]) * np.sqrt(diag[j + 1]) * _EPS
+    return kept
+
+
+def _ql_stage(d: np.ndarray, e: np.ndarray, live: np.ndarray,
+              top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run dsterf's QL loop on rows ``top`` .. n - 1 of each column of d and
+    e until its deflation test holds for the top off-diagonal, and return
+    those columns and their ``live`` entries. A column on which the test
+    holds lower down first, or that needs more than ``_STAGE_SWEEPS``
+    sweeps, is left out."""
+    if not live.size:
+        return d, e, live
+    parts = []
+    for sweeps in range(_STAGE_SWEEPS + 1):
+        small = e[top:] <= _EPS**2 * np.abs(d[top:-1] * d[top + 1:])
+        settled = small.any(axis=0)
+        if sweeps == _STAGE_SWEEPS:
+            settled[:] = True
+        if settled.any():
+            done = np.flatnonzero(small[0])
+            parts.append((d.take(done, axis=1), e.take(done, axis=1), live[done]))
+            more = np.flatnonzero(~settled)
+            d, e, live = d.take(more, axis=1), e.take(more, axis=1), live[more]
+            if not live.size:
+                break
+        _ql_sweep(d[top:], e[top:])
+    d, e, live = zip(*parts)
+    return np.concatenate(d, axis=1), np.concatenate(e, axis=1), np.concatenate(live)
+
+
+def _ql_sweep(d: np.ndarray, e: np.ndarray) -> None:
+    """One implicit QL sweep of dsterf, in place, over the whole of each
+    column of d (diagonal) and e (squared off-diagonal)."""
+    p = d[0]
+    rte = np.sqrt(e[0])
+    sigma = (d[1] - p) / (2.0 * rte)
+    # dlapy2(sigma, 1)
+    w = np.abs(sigma)
+    z = np.minimum(w, 1.0)
+    w = np.maximum(w, 1.0)
+    r = w * np.sqrt(1.0 + (z / w) ** 2)
+    sigma = p - rte / (sigma + np.copysign(r, sigma))
+    c, s = 1.0, 0.0
+    gamma = d[-1] - sigma
+    p = gamma * gamma
+    for i in range(len(d) - 2, -1, -1):
+        bb = e[i]
+        r = p + bb
+        if i < len(d) - 2:
+            e[i + 1] = s * r
+        oldc = c
+        c = p / r
+        s = bb / r
+        oldgam = gamma
+        alpha = d[i]
+        gamma = c * (alpha - sigma) - s * oldgam
+        d[i + 1] = oldgam + (alpha - gamma)
+        p = gamma * gamma / c
+        lane = c == 0
+        if lane.any():
+            p[lane] = (oldc * bb)[lane]
+    e[0] = s * p
+    d[0] = sigma + gamma
+
+
+def _dlae2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK dlae2's eigenvalues (rt1, rt2) of [[a, b], [b, c]], in its
+    order of operations, for b > 0 and a + c > 0."""
+    sm = a + c
+    # dlae2's three branches for rt in one: the larger of |a - c| and 2b
+    # times sqrt(1 + (smaller/larger)^2), which is larger * sqrt(2) when
+    # the two are equal
+    adf = np.abs(a - c)
+    ab = b + b
+    larger = np.maximum(adf, ab)
+    rt = larger * np.sqrt(1.0 + (np.minimum(adf, ab) / larger) ** 2)
+    rt1 = 0.5 * (sm + rt)
+    # a + c > 0, so dlae2's larger and smaller of |a| and |c| are max and min
+    rt2 = (np.maximum(a, c) / rt1) * np.minimum(a, c) - (b / rt1) * b
+    return rt1, rt2
+
+
+def _batched(out: np.ndarray, chunk: int, draw, finish, pooled: bool = True) -> np.ndarray:
     """Fill the preallocated (count, ..., n) ``out`` in chunks of at most
     ``chunk`` rows, in two stages.
 
@@ -642,8 +776,9 @@ def _batched(out: np.ndarray, chunk: int, draw, finish) -> np.ndarray:
     a tuple of arrays whose first axis runs over the chunk's m rows.
     ``finish`` maps any contiguous row slice of those arrays to the same rows
     of ``out``; it runs per row slice, on every CPU once the chunk holds
-    enough n x n matrices (see :func:`_finish_rows`). Rows are independent,
-    so the output does not depend on how the chunk is sliced.
+    enough n x n matrices (see :func:`_finish_rows`), or on the whole chunk
+    on the calling thread when ``pooled`` is false. Rows are independent, so
+    the output does not depend on how the chunk is sliced.
     """
     count, n = out.shape[0], out.shape[-1]
     for start in range(0, count, chunk):
@@ -653,11 +788,15 @@ def _batched(out: np.ndarray, chunk: int, draw, finish) -> np.ndarray:
         def rows(lo: int, hi: int, start=start, drawn=drawn) -> None:
             out[start + lo : start + hi] = finish(*(a[lo:hi] for a in drawn))
 
-        _finish_rows(rows, stop - start, n)
+        if pooled:
+            _finish_rows(rows, stop - start, n)
+        else:
+            rows(0, stop - start)
     return out
 
 
-def _batched_spectra(n: int, count: int, chunk: int, draw, eigvals) -> np.ndarray:
+def _batched_spectra(n: int, count: int, chunk: int, draw, eigvals,
+                     pooled: bool = True) -> np.ndarray:
     """(count, n) spectra through :func:`_batched`: ``eigvals`` maps a row
     slice of the drawn arrays to the ascending eigenvalues of its random
     matrices, which are clipped at 0, trace-normalised and reversed to
@@ -668,7 +807,7 @@ def _batched_spectra(n: int, count: int, chunk: int, draw, eigvals) -> np.ndarra
         ev /= _row_sums(ev)[:, None]
         return ev[:, ::-1]
 
-    return _batched(np.empty((count, n)), chunk, draw, finish)
+    return _batched(np.empty((count, n)), chunk, draw, finish, pooled)
 
 
 def _dirichlet_rows(n: int, s: float, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -696,18 +835,22 @@ _SORT_NETWORK_WIDTH = 4
 def _sort_rows_descending(x: np.ndarray) -> np.ndarray:
     """``-np.sort(-x, axis=1)`` with the same bytes for a (count, n) float
     array free of NaN and -0.0. Rows up to ``_SORT_NETWORK_WIDTH`` wide are
-    sorted in place by an insertion network; each compare-exchange puts
-    the larger of two columns first and copies, never computes, a value."""
-    n = x.shape[1]
-    if n > _SORT_NETWORK_WIDTH:
+    sorted in place by :func:`_sort_network` on their columns."""
+    if x.shape[1] > _SORT_NETWORK_WIDTH:
         return -np.sort(-x, axis=1)
-    cols = list(x.T)
-    for i in range(1, n):
-        for j in range(i, 0, -1):
-            hi = np.maximum(cols[j - 1], cols[j])
-            np.minimum(cols[j - 1], cols[j], out=cols[j])
-            cols[j - 1][...] = hi
+    _sort_network(x.T)
     return x
+
+
+def _sort_network(x: np.ndarray) -> None:
+    """Order the rows of the 2-D ``x`` so that ``x[0] >= x[1] >= ...`` entry
+    by entry, in place, by an insertion network; each compare-exchange puts
+    the larger of two rows first and copies, never computes, a value."""
+    for i in range(1, len(x)):
+        for j in range(i, 0, -1):
+            hi = np.maximum(x[j - 1], x[j])
+            np.minimum(x[j - 1], x[j], out=x[j])
+            x[j - 1] = hi
 
 
 def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:

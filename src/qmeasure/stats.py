@@ -10,10 +10,13 @@ legitimately changes the estimate. The CPU count does not: each worker's
 ``sample_spectra`` call spreads its per-row linear algebra over every CPU
 the process may run on through one shared pool, which the workers queue on
 instead of oversubscribing the CPUs, and its output does not depend on how
-many CPUs there are. So ``workers`` >= 2 mostly overlaps the workers' RNG
-draws and is not a reliable speed-up (HS(4) entropy at 10^5 samples on 2
-CPUs: 173 ms with 1 worker, 186 ms with 2); streams keyed on fixed-size
-blocks (ROADMAP item 7) would make it one.
+many CPUs there are. Small induced spectra (n <= 4, calls of at least 2048
+rows) skip the pool: their eigensolve runs on the worker's own thread. So
+``workers`` >= 2 overlaps the workers' RNG draws and, at small n, part of
+their eigensolves, but it is not a reliable speed-up (HS(4) entropy at
+10^5 samples on 2 CPUs, medians of 15 alternating calls: 98-102 ms with 1
+worker, 82-86 ms with 2); streams keyed on fixed-size blocks (ROADMAP item
+7) would make it one.
 
 The command-line defaults ``DEFAULT_SEED``, ``DEFAULT_SAMPLES`` and
 ``QUICK_SAMPLES`` live here; ``verify`` and ``cli`` read them from this module.
@@ -114,6 +117,15 @@ def spectrum_functional(spectra: np.ndarray, functional: str, nu: float | None =
     if functional == "trace_power":
         if nu is None:
             raise ValueError("trace_power needs the exponent nu")
+        if nu < 0:
+            # a finite moment of a spectrum law with no atom at 0, where
+            # small eigenvalues underflowed to 0 in the sampler, would come
+            # out infinite: refuse the sample instead
+            zero = int(np.count_nonzero(np.any(spectra == 0, axis=1)))
+            if zero:
+                raise ValueError(f"Tr rho^nu at nu={nu:g} < 0 is infinite on {zero} of "
+                                 f"{len(spectra)} sampled spectra, whose smallest eigenvalue "
+                                 "underflowed to 0 in double precision")
         return _row_sums(spectra**nu)
     raise ValueError(f"unknown functional {functional!r}")
 

@@ -345,6 +345,24 @@ def test_estimate_refuses_huge_and_infinite_nu(capsys, nu, message):
     assert captured.err == message
 
 
+def test_estimate_refuses_a_sample_whose_eigenvalues_underflowed(capsys):
+    # regression: about 7% of the Dirichlet(0.005) rows hold an exact 0,
+    # where their Gamma variates underflow, and the finite moment came out
+    # infinite, with numpy's "divide by zero" warning and a JSON error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["estimate", "--measure", "product", "--n", "3", "--s", "0.005",
+                     "--functional", "trace_power", "--nu=-0.001", "--samples", "20000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert caught == []
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: Tr rho^nu at nu=-0.001 < 0 is infinite on ")
+    assert lines[0].endswith("underflowed to 0 in double precision")
+
+
 _SPECS = st.one_of(
     st.builds(Induced, st.integers(1, 5), st.integers(1, 6), st.sampled_from([1, 2, 4])),
     st.builds(ProductDirichlet, st.integers(1, 4), st.floats(1e-5, 50.0)),

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -721,15 +724,17 @@ def test_purification_spectra_pooled_and_against_partial_trace(n, k, chunk_rows,
 
 
 def _sample_in_child(queue):
-    spectra = sample_spectra(Induced(3, 6), 50000, RandomStream(66, 1))
+    spectra = sample_spectra(Induced(8, 8), 50000, RandomStream(66, 1))
     queue.put(float(spectra.sum()))
 
 
 def test_forked_child_samples_through_its_own_pool(monkeypatch):
     import multiprocessing
 
-    monkeypatch.setattr(ensembles, "_THREADS", 2)  # the pool path on one CPU too
-    sample_spectra(Induced(3, 6), 50000, RandomStream(66, 0))  # the pool now has threads
+    # Induced(8, 8) takes the dense route, which runs on the pool, on one
+    # CPU too
+    monkeypatch.setattr(ensembles, "_THREADS", 2)
+    sample_spectra(Induced(8, 8), 50000, RandomStream(66, 0))  # the pool now has threads
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
     child = ctx.Process(target=_sample_in_child, args=(queue,))
@@ -767,7 +772,7 @@ def test_eigvals_2x2_bit_equal_to_eigvalsh(beta, k):
     rows = 10**6
     d2 = rng.chisquare(beta * (k - np.arange(2)), size=(rows, 2))
     e2 = rng.chisquare([beta], size=(rows, 1))
-    assert _same_bits(ensembles._eigvals_2x2(d2, e2), _dense_2x2_eigvalsh(d2, e2))
+    assert _same_bits(ensembles._small_tridiagonal_eigvals(d2, e2), _dense_2x2_eigvalsh(d2, e2))
 
 
 def _dense_route_rows(monkeypatch):
@@ -795,7 +800,7 @@ def _dense_route_rows(monkeypatch):
 def test_eigvals_2x2_dlae2_branches(d2, e2, monkeypatch):
     d2, e2 = np.array([d2]), np.array([[e2]])
     calls = _dense_route_rows(monkeypatch)
-    assert _same_bits(ensembles._eigvals_2x2(d2, e2), _dense_2x2_eigvalsh(d2, e2))
+    assert _same_bits(ensembles._small_tridiagonal_eigvals(d2, e2), _dense_2x2_eigvalsh(d2, e2))
     assert calls == []
 
 
@@ -819,6 +824,155 @@ def test_eigvals_2x2_sends_other_lapack_paths_to_eigvalsh(d2, e2, monkeypatch):
     # the crafted row sits in the second block of rows
     sampled_d2[9000], sampled_e2[9000] = d2, e2
     calls = _dense_route_rows(monkeypatch)
-    assert _same_bits(ensembles._eigvals_2x2(sampled_d2, sampled_e2),
+    assert _same_bits(ensembles._small_tridiagonal_eigvals(sampled_d2, sampled_e2),
                       _dense_2x2_eigvalsh(sampled_d2, sampled_e2))
     assert calls == [1]
+
+
+# --------------------------------------------------- small-n dsterf kernel
+
+def _dense_eigvalsh(d2, e2):
+    """eigvalsh of the dense T = B B^T at any n, written independently of
+    the engine."""
+    m, n = d2.shape
+    i = np.arange(n)
+    t = np.zeros((m, n, n))
+    t[:, i, i] = d2
+    t[:, i[1:], i[1:]] += e2
+    t[:, i[1:], i[:-1]] = np.sqrt(d2[:, :-1] * e2)
+    return np.linalg.eigvalsh(t)
+
+
+def _sampled_bidiagonal(n, k, beta, rows, rng):
+    return (rng.chisquare(beta * (k - np.arange(n)), size=(rows, n)),
+            rng.chisquare(beta * np.arange(n - 1, 0, -1), size=(rows, n - 1)))
+
+
+# the kernel's n up to the cut, and two beyond it, which it serves as
+# exactly should the cut move
+@pytest.mark.parametrize("n", range(3, ensembles._DSTERF_MAX_N + 3))
+@pytest.mark.parametrize("k", ["n", "n+1", "2n", 256])
+@pytest.mark.parametrize("beta", [1, 2, 4])
+def test_small_tridiagonal_eigvals_bit_equal_to_eigvalsh(n, k, beta, monkeypatch):
+    k = {"n": n, "n+1": n + 1, "2n": 2 * n}.get(k, k)
+    d2, e2 = _sampled_bidiagonal(n, k, beta, 30000, RandomStream(72 + beta, 100 * n + k).rng)
+    calls = _dense_route_rows(monkeypatch)
+    assert _same_bits(ensembles._small_tridiagonal_eigvals(d2, e2), _dense_eigvalsh(d2, e2))
+    assert sum(calls) <= 3  # sampled rows essentially never leave the kernel
+
+
+def _dsterf_shift(d, e):
+    """dsterf's first QL shift for the diagonal d and squared off-diagonal e,
+    in its order of operations, with Python floats."""
+    rte = math.sqrt(e[0])
+    sigma = (d[1] - d[0]) / (2.0 * rte)
+    w, z = max(abs(sigma), 1.0), min(abs(sigma), 1.0)
+    return d[0] - rte / (sigma + math.copysign(w * math.sqrt(1.0 + (z / w) ** 2), sigma))
+
+
+# T's diagonal is (d2_1, d2_2 + e2_1, ...), its off-diagonal sqrt(d2_j e2_j)
+_KERNEL_ROWS = {
+    "QL": ((1.0, 2.0, 3.0), (1.0, 1.0)),             # diagonal (1, 3, 4)
+    "QR": ((9.0, 2.0, 1.0), (1.0, 1.0)),             # diagonal (9, 3, 2)
+    "QL_n4": ((1.0, 2.0, 3.0, 4.0), (0.5, 1.5, 2.5)),
+    "QR_n4": ((8.0, 3.0, 2.0, 0.5), (1.0, 2.0, 0.25)),
+    # diagonal (3, 3, 6): the first shift has sigma = 0
+    "sigma_0": ((3.0, 2.0, 5.0), (1.0, 1.0)),
+    # the first shift equals the last diagonal entry, so the sweep's first
+    # step has gamma = 0 and takes dsterf's c == 0 lane
+    "c_0": ((4.0, 1.0, _dsterf_shift((4.0, 2.0), (4.0,)) - 1.0), (1.0, 1.0)),
+    # the top off-diagonal deflates before any sweep: the first eigenvalue
+    # is found at once
+    "top_deflation": ((1.3352532350809854, 1.651125184937635, 3.0),
+                      (2.0351689187861147e-32, 1.0)),
+}
+
+
+@pytest.mark.parametrize("d2, e2", _KERNEL_ROWS.values(), ids=_KERNEL_ROWS)
+def test_small_tridiagonal_eigvals_keeps_these_rows(d2, e2, monkeypatch):
+    d2, e2 = np.array([d2]), np.array([e2])
+    calls = _dense_route_rows(monkeypatch)
+    assert _same_bits(ensembles._small_tridiagonal_eigvals(d2, e2), _dense_eigvalsh(d2, e2))
+    assert calls == []
+
+
+def test_crafted_kernel_rows_reach_their_paths(monkeypatch):
+    # the sigma = 0 and c == 0 rows are what their comments say
+    d2, e2 = _KERNEL_ROWS["sigma_0"]
+    assert d2[0] == d2[1] + e2[0] and d2[2] + e2[1] >= d2[0]  # QL, and sigma = 0
+    d2, e2 = _KERNEL_ROWS["c_0"]
+    diag = (d2[0], d2[1] + e2[0], d2[2] + e2[1])
+    assert diag[2] >= diag[0]  # QL
+    assert diag[2] == _dsterf_shift(diag, (d2[0] * e2[0],))  # gamma = 0
+    seen = []
+    sweep = ensembles._ql_sweep
+
+    def spy(d, e):
+        seen.append((d[1] - d[0]).tolist())
+        sweep(d, e)
+
+    monkeypatch.setattr(ensembles, "_ql_sweep", spy)
+    d2, e2 = _KERNEL_ROWS["sigma_0"]
+    ensembles._small_tridiagonal_eigvals(np.array([d2]), np.array([e2]))
+    assert seen[0] == [0.0]
+
+
+_DENSE_ROWS = {
+    "zero_off_diagonal": ((1.0, 2.0, 3.0), (0.0, 1.0)),
+    "split": ((1.0, 2.0, 3.0), (1.0, 1e-300)),
+    # the bottom off-diagonal passes the split test, but its square then
+    # deflates below the top of the block (QL: the diagonal is
+    # (1, 2.805.., 1.808..))
+    "inner_deflation": ((1.0, 1.8050029237453802, 1.8079407897364939),
+                        (1.0, 3.4630604407847324e-32)),
+    # the same off-diagonal in the middle of an n = 4 block
+    "inner_deflation_n4": ((1.0, 1.8050029237453802, 1.8079407897364939, 3.0),
+                           (1.0, 3.4630604407847324e-32, 1.0)),
+    "scaled_up_by_dsterf": ((1e-130, 2e-130, 3e-130), (1e-130, 2e-130)),
+    "scaled_down_by_dsyevd": ((1e150, 2e150, 3e150), (1e150, 2e150)),
+    "n4_split": ((1.0, 2.0, 3.0, 4.0), (1.0, 0.0, 1.0)),
+    "n4_scaled": ((1e-130, 2e-130, 3e-130, 4e-130), (1e-130, 2e-130, 3e-130)),
+}
+
+
+@pytest.mark.parametrize("d2, e2", _DENSE_ROWS.values(), ids=_DENSE_ROWS)
+def test_small_tridiagonal_eigvals_sends_other_lapack_paths_to_eigvalsh(d2, e2, monkeypatch):
+    n = len(d2)
+    sampled_d2, sampled_e2 = _sampled_bidiagonal(n, n + 2, 2, 20000, RandomStream(74, n).rng)
+    # the crafted row sits in the second block of rows
+    sampled_d2[9000], sampled_e2[9000] = d2, e2
+    calls = _dense_route_rows(monkeypatch)
+    with warnings.catch_warnings():
+        # numpy's eigvalsh warns on nothing here, and neither may the kernel
+        warnings.simplefilter("error")
+        got = ensembles._small_tridiagonal_eigvals(sampled_d2, sampled_e2)
+    assert _same_bits(got, _dense_eigvalsh(sampled_d2, sampled_e2))
+    assert calls == [1]
+    # and alone, when no row of the call stays in the kernel
+    d2, e2 = np.array([d2]), np.array([e2])
+    assert _same_bits(ensembles._small_tridiagonal_eigvals(d2, e2), _dense_eigvalsh(d2, e2))
+    assert calls == [1, 1]
+
+
+@pytest.mark.parametrize("n, count, kernel", [
+    (2, 10, True), (3, ensembles._DSTERF_MIN_ROWS, True), (4, ensembles._DSTERF_MIN_ROWS, True),
+    (3, ensembles._DSTERF_MIN_ROWS - 1, False), (ensembles._DSTERF_MAX_N + 1, 20000, False),
+])
+def test_laguerre_spectra_route(n, count, kernel, monkeypatch):
+    # the kernel's cut and row floor, and the same bytes on either route
+    routes = []
+
+    def recording(route, eigvals):
+        def record(d2, e2):
+            routes.append(route)
+            return eigvals(d2, e2)
+        return record
+
+    monkeypatch.setattr(ensembles, "_small_tridiagonal_eigvals",
+                        recording("kernel", ensembles._small_tridiagonal_eigvals))
+    monkeypatch.setattr(ensembles, "_tridiagonal_eigvals",
+                        recording("dense", ensembles._tridiagonal_eigvals))
+    got = sample_spectra(Induced(n, n + 1), count, RandomStream(75, n))
+    assert routes[0] == ("kernel" if kernel else "dense")
+    rng = RandomStream(75, n).rng
+    assert np.array_equal(got, _laguerre_reference(n, n + 1, 2, count, rng))

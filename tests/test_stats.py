@@ -103,6 +103,18 @@ def test_participation_labels():
         participation_ratio(inv)
 
 
+def test_trace_power_refuses_zero_eigenvalues_below_nu_0():
+    # a negative power of an exact 0 is infinite: refused without a warning;
+    # nu >= 0 still evaluates such rows
+    spectra = np.array([[0.5, 0.5, 0.0], [0.5, 0.3, 0.2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="infinite on 1 of 2 sampled spectra"):
+            spectrum_functional(spectra, "trace_power", -0.5)
+        assert spectrum_functional(spectra, "trace_power", 0.0).tolist() == [3.0, 3.0]
+    assert np.all(np.isfinite(spectrum_functional(spectra[1:], "trace_power", -0.5)))
+
+
 def test_spectrum_functional_validation():
     spectra = sample_spectra(Induced(3, 3, 2), 100, RandomStream(0, 0))
     with pytest.raises(DimensionMismatch):
