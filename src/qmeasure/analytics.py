@@ -7,9 +7,10 @@ must multiply by N!. All normalization constants are assembled in log space
 so they stay finite at any dimension. Every exact value is a closed form.
 
 Functions take a measure's parameters, never its name: the N = 2 radial laws
-take the Beta parameters (a, b) of u = (l1 - l2)^2. Which closed form belongs
-to which measure is answered by the measure specs of
-:mod:`qmeasure.ensembles` (``exact_mean``, ``radial_law``).
+take the Beta parameters (a, b) of u = (l1 - l2)^2, from which the measure
+specs of :mod:`qmeasure.ensembles` (``exact_mean``, ``radial_law``) also take
+every N = 2 tangle and concurrence mean; they answer which closed form belongs
+to which measure.
 
 Every function here runs on numpy and the stdlib, through the kernels of
 :mod:`qmeasure.special`; only :func:`radial_cdf_n2`, which the verification
@@ -20,30 +21,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .special import digamma, gamma_ratio, log_gamma
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """One evaluated moment <Tr rho^nu> with its provenance."""
-
-    n: int
-    k: int
-    beta: int
-    nu: float
-    value: float
-    method: str
-
-    def __post_init__(self):
-        if self.nu > 0 and not self.value > 0:
-            raise ValueError(f"moment must be positive for nu > 0, got {self.value!r}")
-        if self.nu == 1 and abs(self.value - 1.0) > 1e-10:
-            raise ValueError(f"trace moment must equal 1, got {self.value!r}")
 
 
 def log_norm_constant(n: int, k: int, beta: float) -> float:
@@ -193,21 +175,7 @@ def radial_cdf_n2(r, a: float, b: float):
     return _scalar_or_array(r, betainc(a, b, 4.0 * rv * rv))
 
 
-def entanglement_cdf_n2(kind: str, x):
-    """CDF of the tangle, 1 - (1 - t)^(3/2), or of the concurrence,
-    1 - (1 - c^2)^(3/2), of Hilbert-Schmidt two-qubit states (the densities
-    (3/2) sqrt(1 - t) and 3c sqrt(1 - c^2)), used for KS tests."""
-    xv = np.asarray(x, dtype=np.float64)
-    if np.any((xv < 0.0) | (xv > 1.0)):
-        raise DomainError(f"argument must lie in [0, 1], got {x!r}")
-    if kind == "tangle":
-        return _scalar_or_array(x, 1.0 - (1.0 - xv) ** 1.5)
-    if kind == "concurrence":
-        return _scalar_or_array(x, 1.0 - (1.0 - xv * xv) ** 1.5)
-    raise DomainError(f"kind must be 'tangle' or 'concurrence', got {kind!r}")
-
-
-def induced_moment_exact(n: int, k: int, nu: float) -> MomentReport:
+def induced_moment_exact(n: int, k: int, nu: float) -> float:
     """<Tr rho^nu> under the induced measure (beta = 2), from the Laguerre
     kernel: with N = min(n, k) and a = |k - n| it is Gamma(nk)/Gamma(nk + nu)
     sum_{m<N} m!/Gamma(m+a+1) sum_{j<=m} C(nu, m-j)^2 Gamma(a+nu+j+1)/j!.
@@ -249,26 +217,48 @@ def induced_moment_exact(n: int, k: int, nu: float) -> MomentReport:
         total = terms.sum()
         for d in range(1, size):
             jd = j[: size - d] + d
+            c = (nu - d + 1) / d  # c * c rounds correctly; c ** 2 calls libm's pow
             # a nu above 1e154, whose square overflows, has underflowed a seed
-            terms = terms[:-1] * ((nu - d + 1) / d) ** 2 * jd / (a + jd)
+            terms = terms[:-1] * (c * c) * jd / (a + jd)
             total += terms.sum()
     value = float(total / scale)
     if not value < math.inf:
         raise DomainError(f"<Tr rho^nu> at n={n}, k={k}, nu={nu} exceeds the double range")
-    return MomentReport(n, k, 2, nu, value, "closed-form")
+    if (nu > 0 and not value > 0) or (nu == 1 and abs(value - 1.0) > 1e-10):
+        raise ValueError(f"<Tr rho^nu> at nu={nu} must be positive, and 1 at nu=1; got {value!r}")
+    return value
 
 
-def hs_moment_exact(n: int, nu: float) -> MomentReport:
+def hs_moment_exact(n: int, nu: float) -> float:
     """<Tr rho^nu> under the Hilbert-Schmidt measure (k = n)."""
     return induced_moment_exact(n, n, nu)
 
 
-def purity_induced_exact(n: int, k: int) -> float:
-    """<Tr rho^2> = (n + k)/(nk + 1) under the induced measure; symmetric in
-    n and k."""
+def purity_induced_exact(n: int, k: int, beta: int = 2) -> float:
+    """<Tr rho^2> = (beta (n + k) + 2 - beta)/(beta nk + 2) under the induced
+    measure of symmetry class beta; (n + k)/(nk + 1) at beta = 2, to the
+    bit. Symmetric in n and k."""
     if n < 1 or k < 1:
         raise DomainError(f"need n, k >= 1, got n={n}, k={k}")
-    return (n + k) / (n * k + 1.0)
+    return (beta * (n + k) + 2 - beta) / (beta * n * k + 2)
+
+
+def dirichlet_moment_exact(n: int, s: float, nu: float) -> float | None:
+    """<Tr rho^nu> = n Gamma(s + nu) Gamma(ns)/(Gamma(s) Gamma(ns + nu)) for
+    Dirichlet(s) eigenvalues, each a Beta(s, (n - 1) s) variate; finite for
+    nu > -s, and 1 at n = 1. None where a Gamma ratio or the moment leaves
+    the normal double range. Against 40-digit mpmath at n in {2, 3, 16, 64}
+    and nu in {-0.9 s, -s/2, 0.3, 0.5, 1, 1.5, 2, 2.5, 3, 4, 7.3, 20} it was
+    within 6 ulps for s from 0.3 to 1e12 and within 18 ulps at s = 1e-5, where
+    the Gamma ratios of tiny arguments lose the most."""
+    if n == 1:
+        return 1.0
+    if not nu > -s:
+        raise DomainError(f"need nu > {-s} at n={n}, s={s}, got {nu}")
+    top, bottom = gamma_ratio(s, nu), gamma_ratio(n * s, nu)
+    normal = min(top, bottom) >= sys.float_info.min and max(top, bottom) < math.inf
+    moment = n * (top / bottom) if normal else math.inf
+    return moment if sys.float_info.min <= moment < math.inf else None
 
 
 def induced_mean_entropy_exact(n: int, k: int) -> float:

@@ -42,6 +42,7 @@ from .core import (
     validate_density_matrices,
 )
 from .errors import ZeroMatrix
+from .special import digamma_difference, gamma_ratio
 
 
 @dataclass
@@ -77,11 +78,22 @@ class _Measure:
     def exact_mean(self, functional: str, nu: float | None = None) -> float | None:
         """The closed-form mean of ``functional`` under this measure
         (``trace_power`` with exponent ``nu``), or None where none is known.
-        The participation ratio is 1 / <Tr rho^2>. ``analytics`` raises
-        DomainError for an exponent outside its domain."""
+        The participation ratio is 1 / <Tr rho^2>. At N = 2 the tangle 1 - u
+        and concurrence (1 - u)^(1/2), with u ~ Beta(a, b) the ``radial_law``,
+        have the means b/(a + b) and B(a, b + 1/2)/B(a, b), the latter within
+        2.5 ulps of 40-digit mpmath on the tested laws. An exponent outside
+        the moment's domain raises DomainError."""
         if functional == "participation_ratio":
             purity = self._exact("purity", None)
             return None if purity is None else 1.0 / purity
+        if functional in ("tangle", "concurrence"):
+            try:
+                a, b = self.radial_law()
+            except ValueError:
+                return None
+            if functional == "tangle":
+                return b / (a + b)
+            return gamma_ratio(b, 0.5) / gamma_ratio(a + b, 0.5)
         if functional == "trace_power" and nu is None:
             return None
         return self._exact(functional, nu)
@@ -111,19 +123,16 @@ class Induced(_Measure):
         return {"kind": "induced", "n": self.n, "k": self.k, "beta": self.beta}
 
     def _exact(self, functional: str, nu: float | None) -> float | None:
-        # beta = 2 only: Page's entropy, the purity (n + k)/(nk + 1), the
-        # Laguerre-sum moment, and at n = k = 2 the tangle and concurrence
+        # the purity at every beta; Page's entropy and the Laguerre-sum moment at beta = 2
         n, k = self.n, self.k
+        if functional == "purity":
+            return analytics.purity_induced_exact(n, k, self.beta)
         if self.beta != 2:
             return None
-        if functional == "purity":
-            return analytics.purity_induced_exact(n, k)
         if functional == "entropy":
             return analytics.induced_mean_entropy_exact(n, k)
         if functional == "trace_power":
-            return analytics.induced_moment_exact(n, k, nu).value
-        if n == k == 2:
-            return {"tangle": 0.4, "concurrence": 3.0 * math.pi / 16.0}.get(functional)
+            return analytics.induced_moment_exact(n, k, nu)
         return None
 
     def radial_law(self) -> tuple[float, float]:
@@ -160,12 +169,6 @@ class ProductDirichlet(_Measure):
     n: int
     s: float
 
-    # exact N = 2 means of the unitary (s = 1) and orthogonal (s = 1/2) measures
-    _N2_MEANS = {
-        1.0: {"entropy": 0.5, "purity": 2.0 / 3.0},
-        0.5: {"entropy": 2.0 * math.log(2.0) - 1.0, "purity": 3.0 / 4.0},
-    }
-
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
@@ -177,7 +180,15 @@ class ProductDirichlet(_Measure):
         return {"kind": "product", "n": self.n, "s": self.s}
 
     def _exact(self, functional: str, nu: float | None) -> float | None:
-        return self._N2_MEANS.get(self.s, {}).get(functional) if self.n == 2 else None
+        # from the Beta(s, (n - 1) s) law of each eigenvalue
+        n, s = self.n, self.s
+        if functional == "purity":
+            return (s + 1.0) / (n * s + 1.0)
+        if functional == "entropy":
+            return digamma_difference(s + 1.0, (n - 1) * s)
+        if functional == "trace_power":
+            return analytics.dirichlet_moment_exact(n, s, nu)
+        return None
 
     def radial_law(self) -> tuple[float, float]:
         """(1/2, s): l1 is Beta(s, s), so l1 - l2 has density

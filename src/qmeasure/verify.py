@@ -121,7 +121,7 @@ def criterion_3(config: BatteryConfig) -> CriterionResult:
         spectra = sample_spectra(hilbert_schmidt(n), config.samples, _stream(config, 3, sub))
         for nu in (3, 4):
             mean, stderr = _mean_stderr(spectrum_functional(spectra, "trace_power", nu))
-            target = analytics.hs_moment_exact(n, nu).value
+            target = analytics.hs_moment_exact(n, nu)
             _zcheck(res, f"Tr rho^{nu}, N={n}", mean, stderr, target)
     return res
 
@@ -148,19 +148,31 @@ def criterion_5(config: BatteryConfig) -> CriterionResult:
     spectra = sample_spectra(hs, config.samples, _stream(config, 5, 0))
     tangle = spectrum_functional(spectra, "tangle")
     conc = np.sqrt(tangle)
-    gof_t = ks_test(tangle, lambda x: analytics.entanglement_cdf_n2("tangle", x))
+    # the tangle is 1 - u and the concurrence (1 - u)^(1/2) for u = 4 r^2 of
+    # the radial law, so their CDFs are 1 - I_{1 - t}(a, b) and 1 - I_{1 - c^2}(a, b)
+    a, b = hs.radial_law()
+    gof_t = ks_test(tangle, lambda t: 1.0 - analytics.radial_cdf_n2(np.sqrt(1.0 - t) / 2, a, b))
     res.add("tangle KS", gof_t.p_value > 0.01, p=gof_t.p_value, d=gof_t.statistic)
-    gof_c = ks_test(conc, lambda x: analytics.entanglement_cdf_n2("concurrence", x))
+    gof_c = ks_test(conc, lambda c: 1.0 - analytics.radial_cdf_n2(np.sqrt(1.0 - c * c) / 2, a, b))
     res.add("concurrence KS", gof_c.p_value > 0.01, p=gof_c.p_value, d=gof_c.statistic)
     mean_t, err_t = _mean_stderr(tangle)
     _zcheck(res, "mean tangle vs 2/5", mean_t, err_t, hs.exact_mean("tangle"))
     mean_c, err_c = _mean_stderr(conc)
     _zcheck(res, "mean concurrence vs 3pi/16", mean_c, err_c, hs.exact_mean("concurrence"))
+    cases = [("real K=3", Induced(2, 3, 1)), ("bures", Bures(2)),
+             ("product s=0.3", ProductDirichlet(2, 0.3))]
+    for sub, (label, measure) in enumerate(cases, start=1):
+        tangle = spectrum_functional(
+            sample_spectra(measure, config.samples, _stream(config, 5, sub)), "tangle")
+        for name, values in (("tangle", tangle), ("concurrence", np.sqrt(tangle))):
+            mean, stderr = _mean_stderr(values)
+            _zcheck(res, f"mean {name}, {label}", mean, stderr, measure.exact_mean(name))
     return res
 
 
 def criterion_6(config: BatteryConfig) -> CriterionResult:
-    res = CriterionResult(6, "N=2 reference means; Bures purity and entropy N=3..6")
+    res = CriterionResult(6, "N=2 reference means; purity and entropy, Bures N=3..6 and "
+                             "product (3, s=0.7)")
     cases = [
         ("unitary", ProductDirichlet(2, 1.0)),
         ("orthogonal", ProductDirichlet(2, 0.5)),
@@ -175,13 +187,14 @@ def criterion_6(config: BatteryConfig) -> CriterionResult:
         ratio_err = err_p / (mean_p * mean_p)
         _zcheck(res, f"participation ratio, {name}", ratio, ratio_err,
                 measure.exact_mean("participation_ratio"))
-    for sub, n in enumerate(range(3, 7), start=len(cases)):
-        measure = Bures(n)
+    more = [(f"Bures N={n}", Bures(n)) for n in range(3, 7)]
+    more.append(("product (3, s=0.7)", ProductDirichlet(3, 0.7)))
+    for sub, (name, measure) in enumerate(more, start=len(cases)):
         spectra = sample_spectra(measure, config.samples, _stream(config, 6, sub))
         mean, stderr = _mean_stderr(spectrum_functional(spectra, "purity"))
-        _zcheck(res, f"purity, Bures N={n}", mean, stderr, measure.exact_mean("purity"))
+        _zcheck(res, f"purity, {name}", mean, stderr, measure.exact_mean("purity"))
         mean, stderr = _mean_stderr(spectrum_functional(spectra, "entropy"))
-        _zcheck(res, f"entropy, Bures N={n}", mean, stderr, measure.exact_mean("entropy"))
+        _zcheck(res, f"entropy, {name}", mean, stderr, measure.exact_mean("entropy"))
     return res
 
 
@@ -196,14 +209,14 @@ def criterion_7(config: BatteryConfig) -> CriterionResult:
     return res
 
 
-def _simplex_mass_n2(k: int, beta: int) -> float:
-    """Integral of joint_eigenvalue_density at N = 2 over the simplex. With
-    l = sin^2 t, dl = sin 2t dt, the endpoint singularities go, and a 64-node
-    Gauss-Legendre rule on each side of the kink |cos 2t| at t = pi/4 sums it."""
+def _simplex_mass_n2(density) -> float:
+    """Integral of an N = 2 eigenvalue density over the simplex. With
+    l = sin^2 t, dl = sin 2t dt, the endpoint singularities go (the Bures
+    density becomes (4/pi) cos^2 2t), and a 64-node Gauss-Legendre rule on
+    each side of the kink |cos 2t| at t = pi/4 sums it."""
     x, w = np.polynomial.legendre.leggauss(64)
     t = np.pi / 8 * np.concatenate([x + 1.0, x + 3.0])
-    dens = [analytics.joint_eigenvalue_density([math.sin(s) ** 2, math.cos(s) ** 2], 2, k, beta)
-            for s in t]
+    dens = [density([math.sin(s) ** 2, math.cos(s) ** 2]) for s in t]
     return float(np.pi / 8 * np.dot(np.tile(w, 2), dens * np.sin(2.0 * t)))
 
 
@@ -222,8 +235,10 @@ def _simplex_mass_33() -> float:
 def criterion_8(config: BatteryConfig) -> CriterionResult:
     res = CriterionResult(8, "normalization constants vs quadrature")
     for k, beta in [(2, 2), (3, 2), (2, 1), (2, 4)]:
-        mass = _simplex_mass_n2(k, beta)
+        mass = _simplex_mass_n2(lambda lam: analytics.joint_eigenvalue_density(lam, 2, k, beta))
         res.add(f"unit mass (2,{k},beta={beta})", abs(mass - 1.0) <= 1e-6, mass=mass)
+    mass = _simplex_mass_n2(lambda lam: analytics.bures_joint_density(lam, 2)[1])
+    res.add("unit mass Bures N=2", abs(mass - 1.0) <= 1e-6, mass=mass)
     mass33 = _simplex_mass_33()
     res.add("unit mass (3,3,beta=2)", abs(mass33 - 1.0) <= 1e-6, mass=mass33)
     const = analytics.bures_norm_constant(3)
@@ -253,10 +268,10 @@ def _ulps(value: float, exact: Fraction) -> float:
 
 def criterion_9(config: BatteryConfig) -> CriterionResult:
     res = CriterionResult(9, "closed-form moments vs the Wishart moment recursion")
-    worst = max(_ulps(analytics.hs_moment_exact(n, nu).value, _wishart_moment(n, n, nu))
+    worst = max(_ulps(analytics.hs_moment_exact(n, nu), _wishart_moment(n, n, nu))
                 for n in range(2, 9) for nu in (2, 3, 4))
     res.add("agreement nu in {2,3,4}, N <= 8, within 4 ulps", worst <= 4.0, worst_ulps=worst)
-    worst_tr = max(abs(analytics.induced_moment_exact(n, k, 1).value - 1.0)
+    worst_tr = max(abs(analytics.induced_moment_exact(n, k, 1) - 1.0)
                    for n in range(1, 9) for k in range(1, 17))
     res.add("trace moment nu=1 equals 1, N <= 8, K <= 16", worst_tr == 0.0,
             worst_abs_diff=worst_tr)

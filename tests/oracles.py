@@ -99,3 +99,22 @@ def rational_moment(n: int, nu: int) -> Fraction:
     if nu == 3:
         return Fraction(5 * n2 + 1, (n2 + 1) * (n2 + 2))
     return Fraction(14 * n**3 + 10 * n, (n2 + 1) * (n2 + 2) * (n2 + 3))
+
+
+def bidiagonal_purity(n: int, k: int, beta: int) -> Fraction:
+    """<Tr rho^2> under the induced measure of symmetry class beta, exactly,
+    from the bidiagonal model the sampler draws: B is lower bidiagonal with
+    squared diagonal entries x_i ~ chi^2_{beta (k - i)} and squared subdiagonal
+    entries y_i ~ chi^2_{beta (n - 1 - i)} (n <= k), all independent, and
+    W = B B^T. Tr W is independent of rho = W / Tr W, so the purity is
+    E Tr W^2 / E (Tr W)^2, and both are sums of E chi^2_m = m and
+    E (chi^2_m)^2 = m (m + 2)."""
+    n, k = min(n, k), max(n, k)
+    diag = [beta * (k - i) for i in range(n)]
+    sub = [beta * (n - 1 - i) for i in range(n - 1)] + [0]
+    # T_ii = x_i + y_{i-1} and T_{i+1,i}^2 = x_i y_i
+    tr_w2 = sum(Fraction(p * (p + 2)) for p in diag + sub)
+    tr_w2 += sum(2 * diag[i] * sub[i - 1] for i in range(1, n))
+    tr_w2 += sum(2 * diag[i] * sub[i] for i in range(n))
+    total = sum(diag) + sum(sub)
+    return tr_w2 / (total * total + 2 * total)

@@ -1,19 +1,21 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import rational_moment
+from oracles import bidiagonal_purity, rational_moment
 from scipy import integrate
 from scipy.special import xlogy
 
 from qmeasure import Bures, Induced, ProductDirichlet, analytics
 from qmeasure.analytics import (
-    MomentReport,
     bures_joint_density,
     bures_mean_entropy_exact,
     bures_norm_constant,
     bures_purity_exact,
-    entanglement_cdf_n2,
+    dirichlet_moment_exact,
     hs_mean_entropy_exact,
     hs_moment_exact,
     induced_mean_entropy_exact,
@@ -396,50 +398,50 @@ def test_mean_tangle_by_change_of_variables():
 
 
 def test_entanglement_densities():
-    # the CDFs against the densities (3/2) sqrt(1-t) and 3c sqrt(1-c^2)
+    # the HS tangle and concurrence CDFs taken from the radial law, as the
+    # battery takes them, against the densities (3/2) sqrt(1-t) and
+    # 3c sqrt(1-c^2): t = 1 - 4r^2 and c = (1 - 4r^2)^(1/2)
+    a, b = HS.radial_law()
+    cdfs = {"tangle": lambda t: 1.0 - radial_cdf_n2(np.sqrt(1.0 - t) / 2, a, b),
+            "concurrence": lambda c: 1.0 - radial_cdf_n2(np.sqrt(1.0 - c * c) / 2, a, b)}
     laws = {"tangle": lambda t: 1.5 * np.sqrt(1.0 - t),
             "concurrence": lambda c: 3.0 * c * np.sqrt(1.0 - c * c)}
-    mean_c, _ = integrate.quad(lambda c: 1.0 - entanglement_cdf_n2("concurrence", c), 0.0, 1.0)
-    assert mean_c == pytest.approx(3.0 * np.pi / 16.0, abs=1e-10)
-    assert entanglement_cdf_n2("tangle", 0.75) == pytest.approx(0.875, rel=1e-15)
-    assert entanglement_cdf_n2("concurrence", 0.6) == pytest.approx(1.0 - 0.64**1.5, rel=1e-15)
+    assert cdfs["tangle"](0.75) == pytest.approx(0.875, rel=1e-14)
+    assert cdfs["concurrence"](0.6) == pytest.approx(1.0 - 0.64**1.5, rel=1e-14)
     for kind, law in laws.items():
-        assert entanglement_cdf_n2(kind, 0.0) == 0.0 and entanglement_cdf_n2(kind, 1.0) == 1.0
+        assert cdfs[kind](0.0) == 0.0 and cdfs[kind](1.0) == 1.0
         for x in (0.2, 0.7):
             cum, _ = integrate.quad(law, 0.0, x)
-            assert entanglement_cdf_n2(kind, x) == pytest.approx(cum, abs=1e-10)
-    with pytest.raises(DomainError):
-        entanglement_cdf_n2("negativity", 0.5)
+            assert cdfs[kind](x) == pytest.approx(cum, abs=1e-10)
+        mean, _ = integrate.quad(lambda x: 1.0 - cdfs[kind](x), 0.0, 1.0)
+        assert mean == pytest.approx(HS.exact_mean(kind), abs=1e-10)
 
 
 # ------------------------------------------------------------------- moments
 
 def test_hs_moment_closed_forms():
-    assert hs_moment_exact(2, 2).value == pytest.approx(0.8)
-    assert hs_moment_exact(2, 3).value == pytest.approx(0.7)
-    assert hs_moment_exact(2, 2).method == "closed-form"
+    assert hs_moment_exact(2, 2) == pytest.approx(0.8)
+    assert hs_moment_exact(2, 3) == pytest.approx(0.7)
+    assert type(hs_moment_exact(2, 2)) is float
 
 
 def test_hs_moment_trace_identity():
     for n in (1, 2, 3, 8, 16, 32, 64):
-        rep = hs_moment_exact(n, 1)
-        assert rep.method == "closed-form"
-        assert abs(rep.value - 1.0) <= 1e-12
+        assert abs(hs_moment_exact(n, 1) - 1.0) <= 1e-12
 
 
 def test_hs_moment_non_integer_exponent():
     val = hs_moment_exact(3, 2.5)
-    assert val.method == "closed-form"
-    assert hs_moment_exact(3, 2.0).value > val.value > hs_moment_exact(3, 3.0).value
+    assert hs_moment_exact(3, 2.0) > val > hs_moment_exact(3, 3.0)
 
 
 def test_hs_moment_small_exponents():
     # regression: nu in (-1, 1) used to fail the Gauss-Laguerre route at every n
     for nu in (-0.5, 0.1, 0.3, 0.5, 0.7, 0.9):
-        assert hs_moment_exact(1, nu).value == 1.0
+        assert hs_moment_exact(1, nu) == 1.0
         previous = 1.0
         for n in range(2, 65):
-            value = hs_moment_exact(n, nu).value
+            value = hs_moment_exact(n, nu)
             assert np.isfinite(value) and value > previous  # grows like n^(1-nu)
             previous = value
 
@@ -447,12 +449,12 @@ def test_hs_moment_small_exponents():
 def test_hs_moment_rational_oracles():
     for n in range(1, 33):
         for nu in (2, 3, 4):
-            assert hs_moment_exact(n, nu).value == pytest.approx(
+            assert hs_moment_exact(n, nu) == pytest.approx(
                 float(rational_moment(n, nu)), rel=1e-12)
 
 
 def test_induced_moment_trace_identity():
-    worst = max(abs(induced_moment_exact(n, k, 1.0).value - 1.0)
+    worst = max(abs(induced_moment_exact(n, k, 1.0) - 1.0)
                 for n in range(1, 65) for k in range(1, 257))
     assert worst <= 1e-12
 
@@ -478,11 +480,11 @@ KERNEL_INTEGRALS = {
 @pytest.mark.parametrize("n, nu", KERNEL_INTEGRALS)
 def test_induced_moment_matches_kernel_integral(n, nu):
     exact = float(KERNEL_INTEGRALS[n, nu])
-    assert induced_moment_exact(n, n, nu).value == pytest.approx(exact, rel=1e-14, abs=0)
+    assert induced_moment_exact(n, n, nu) == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 def test_induced_moment_domain():
-    assert induced_moment_exact(2, 5, -3.5).value > 0  # k >= n: nu > -(k - n + 1)
+    assert induced_moment_exact(2, 5, -3.5) > 0  # k >= n: nu > -(k - n + 1)
     for n, k, nu in [(2, 5, -4.0), (3, 3, -1.0), (3, 2, 0.0), (3, 2, -0.5), (0, 2, 2.0)]:
         with pytest.raises(DomainError):
             induced_moment_exact(n, k, nu)
@@ -500,14 +502,14 @@ def test_induced_moment_domain():
 ])
 def test_induced_moment_extreme_exponents(n, k, nu, exact):
     # regression: poch(nk, nu) overflowed or underflowed, giving 0 or NaN
-    assert induced_moment_exact(n, k, nu).value == pytest.approx(exact, rel=1e-13, abs=0)
+    assert induced_moment_exact(n, k, nu) == pytest.approx(exact, rel=1e-13, abs=0)
 
 
 def test_induced_moment_huge_nu():
     # HS(2): <Tr rho^nu> = 6 (nu^2 + nu + 2)/((nu + 1)(nu + 2)(nu + 3)), ~ 6/nu
     for nu in (1e10, 1e50, 1e100):
         exact = 6 * (nu * nu + nu + 2) / ((nu + 1) * (nu + 2) * (nu + 3))
-        assert induced_moment_exact(2, 2, nu).value == pytest.approx(exact, rel=1e-15, abs=0)
+        assert induced_moment_exact(2, 2, nu) == pytest.approx(exact, rel=1e-15, abs=0)
     # regression: a seed that underflowed dropped the terms grown from it, so
     # (3, 3) at nu = 1e50 gave 2.0e-296 instead of about 1.0e-196, and
     # nu = 1e308 overflowed the square of C(nu, d)/C(nu, d - 1)
@@ -522,7 +524,7 @@ def test_induced_moment_huge_nu():
             induced_moment_exact(3, 3, nu)
     # min(n, k) = 1: rho is pure, so <Tr rho^nu> = 1 up to nu = inf
     for n, k in [(1, 5), (4, 1)]:
-        assert induced_moment_exact(n, k, np.inf).value == 1.0
+        assert induced_moment_exact(n, k, np.inf) == 1.0
 
 
 @pytest.mark.parametrize("n, k, nu, exact", [
@@ -534,7 +536,7 @@ def test_induced_moment_huge_nu():
     (16, 64, 1.5, 0.2730871294174329285160917407332672871405),
 ])
 def test_induced_moment_non_integer_nu_is_exact(n, k, nu, exact):
-    assert induced_moment_exact(n, k, nu).value == pytest.approx(exact, rel=1e-14, abs=0)
+    assert induced_moment_exact(n, k, nu) == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("n, k, nu", [(3, 5, 1.5), (2, 7, 0.5), (4, 4, 0.3), (3, 2, 0.5)])
@@ -545,28 +547,35 @@ def test_induced_moment_against_mc(n, k, nu):
     spectra = sample_spectra(Induced(n, k, 2), 40000, RandomStream(71, 0))
     vals = spectrum_functional(spectra, "trace_power", nu)
     stderr = vals.std(ddof=1) / np.sqrt(vals.size)
-    assert abs(vals.mean() - induced_moment_exact(n, k, nu).value) <= 3 * stderr
+    assert abs(vals.mean() - induced_moment_exact(n, k, nu)) <= 3 * stderr
 
 
 @settings(deadline=None)
 @given(n=st.integers(1, 12), k=st.integers(1, 40),
        nu=st.floats(0.0, 5.0, exclude_min=True, exclude_max=True))
 def test_induced_moment_invariants(n, k, nu):
-    value = induced_moment_exact(n, k, nu).value
-    assert value == pytest.approx(induced_moment_exact(k, n, nu).value, rel=1e-12)
+    value = induced_moment_exact(n, k, nu)
+    assert value == pytest.approx(induced_moment_exact(k, n, nu), rel=1e-12)
     small = min(n, k)
     lo, hi = sorted((1.0, small ** (1.0 - nu)))
     assert lo * (1 - 1e-12) <= value <= hi * (1 + 1e-12)
-    assert induced_moment_exact(n, k, 1.0).value == pytest.approx(1.0, abs=1e-12)
-    assert induced_moment_exact(n, k, 2.0).value == pytest.approx(purity_induced_exact(n, k),
+    assert induced_moment_exact(n, k, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert induced_moment_exact(n, k, 2.0) == pytest.approx(purity_induced_exact(n, k),
                                                                   rel=1e-12)
 
 
-def test_moment_report_validation():
-    with pytest.raises(ValueError):
-        MomentReport(2, 2, 2, 1.0, 0.5, "closed-form")
-    with pytest.raises(ValueError):
-        MomentReport(2, 2, 2, 2.0, -1.0, "closed-form")
+def test_induced_moment_checks_its_value(monkeypatch):
+    # induced_moment_exact checks its own value: positive for nu > 0, and 1 at
+    # nu = 1; the m = j seeds of (2, 2) are Gamma ratios at x = 1 and 2, and
+    # the scale one at x = nk = 4, so spoiling the seeds alone spoils the value
+    ratio = analytics.gamma_ratio
+    for factor, nu in [(2.0, 1.0), (-1.0, 2.0)]:
+        monkeypatch.setattr(analytics, "gamma_ratio",
+                            lambda x, a: ratio(x, a) * (factor if x < 4 else 1.0))
+        with pytest.raises(ValueError, match="must be positive, and 1 at nu=1"):
+            induced_moment_exact(2, 2, nu)
+    monkeypatch.setattr(analytics, "gamma_ratio", ratio)
+    assert induced_moment_exact(2, 2, 1.0) == 1.0 and induced_moment_exact(2, 2, 2.0) == 0.8
 
 
 def test_purity_induced_exact():
@@ -574,7 +583,51 @@ def test_purity_induced_exact():
     assert purity_induced_exact(2, 3) == pytest.approx(5.0 / 7.0)
     assert purity_induced_exact(1, 9) == pytest.approx(1.0)
     assert purity_induced_exact(4, 7) == purity_induced_exact(7, 4)
-    assert purity_induced_exact(2, 2) == hs_moment_exact(2, 2).value
+    assert purity_induced_exact(2, 2) == hs_moment_exact(2, 2)
+
+
+@pytest.mark.parametrize("n, k, beta", [(2, 2, 1), (3, 4, 1), (4, 4, 4), (5, 7, 2), (3, 3, 4),
+                                        (2, 3, 4), (6, 2, 1), (1, 5, 4), (8, 8, 1)])
+def test_purity_induced_exact_is_the_bidiagonal_model(n, k, beta):
+    # (beta (n + k) + 2 - beta)/(beta nk + 2), rounded once, is the exact purity
+    # of the model the sampler draws
+    assert purity_induced_exact(n, k, beta) == float(bidiagonal_purity(n, k, beta))
+    assert purity_induced_exact(k, n, beta) == purity_induced_exact(n, k, beta)
+
+
+@pytest.mark.parametrize("n, k, beta", [(2, 3, 1), (3, 4, 1), (2, 3, 4), (3, 3, 4)])
+def test_purity_induced_exact_against_mc(n, k, beta):
+    from qmeasure import RandomStream, sample_spectra
+    from qmeasure.stats import spectrum_functional
+
+    vals = spectrum_functional(sample_spectra(Induced(n, k, beta), 40000,
+                                              RandomStream(73, 0)), "purity")
+    stderr = vals.std(ddof=1) / np.sqrt(vals.size)
+    assert abs(vals.mean() - purity_induced_exact(n, k, beta)) <= 3 * stderr
+
+
+def _kernel_moment(n: int, k: int, nu: float) -> mpmath.mpf:
+    # the Laguerre-kernel sum of induced_moment_exact, term by term in mpmath
+    size, a, nu = min(n, k), abs(k - n), mpmath.mpf(nu)
+    total = mpmath.fsum(
+        mpmath.factorial(m) / mpmath.gamma(m + a + 1) * mpmath.binomial(nu, m - j) ** 2
+        * mpmath.gamma(a + nu + j + 1) / mpmath.factorial(j)
+        for m in range(size) for j in range(m + 1))
+    return total * mpmath.gamma(n * k) / mpmath.gamma(n * k + nu)
+
+
+@pytest.mark.parametrize("nu", [0.3, 0.5, 1.5, 2.5, 3.7, 7.25, -0.5])
+def test_induced_moment_non_integer_nu_against_mpmath(nu):
+    # the ratio recurrence squares C(nu, d)/C(nu, d - 1) as c * c, which is
+    # correctly rounded where c ** 2 (libm's pow) is not always
+    with mpmath.workdps(40):
+        for n in range(1, 7):
+            for k in range(1, 9):
+                if not nu > (n - k - 1 if k >= n else 0):
+                    continue
+                want = _kernel_moment(n, k, nu)
+                got = induced_moment_exact(n, k, nu)
+                assert abs(mpmath.mpf(got) - want) <= 4 * math.ulp(float(want)), (n, k)
 
 
 # ------------------------------------------------------------- mean entropy
@@ -679,10 +732,12 @@ def test_reference_means_table():
         got = [measure.exact_mean(f) for f in ("entropy", "purity", "participation_ratio")]
         assert got == pytest.approx([entropy, purity, ratio], rel=1e-15)
         assert got[2] == 1.0 / got[1]
-    # the product constants exist at n = 2 and s in {1, 1/2} only
-    for measure in (ProductDirichlet(2, 0.7), ProductDirichlet(3, 1.0)):
-        assert measure.exact_mean("entropy") is None
-        assert measure.exact_mean("participation_ratio") is None
+    # the product means hold at every n and s: (s + 1)/(ns + 1) and
+    # psi(ns + 1) - psi(s + 1), here H_3 - 1 and psi(2.4) - psi(1.7) (40-digit mpmath)
+    assert ProductDirichlet(3, 1.0).exact_mean("purity") == 0.5
+    assert ProductDirichlet(3, 1.0).exact_mean("entropy") == pytest.approx(5 / 6, rel=1e-15)
+    assert ProductDirichlet(2, 0.7).exact_mean("entropy") == pytest.approx(
+        0.4443532948271042, rel=1e-15)
 
 
 def test_reference_means_against_radial_quadrature():
@@ -732,7 +787,7 @@ _EXACT_MEANS = [
       for f, want in (("purity", purity_induced_exact(n, k)),
                       ("participation_ratio", 1.0 / purity_induced_exact(n, k)),
                       ("entropy", induced_mean_entropy_exact(n, k)))],
-    *[(Induced(n, k), "trace_power", nu, induced_moment_exact(n, k, nu).value)
+    *[(Induced(n, k), "trace_power", nu, induced_moment_exact(n, k, nu))
       for n, k, nu in ((2, 2, 2.0), (3, 3, 0.3), (3, 5, 1.5), (4, 2, 0.5), (8, 8, 150.0),
                        (3, 4, -1.5))],
     (HS, "tangle", None, 0.4),
@@ -745,9 +800,17 @@ _EXACT_MEANS = [
     (UNITARY, "entropy", None, 0.5),
     (UNITARY, "purity", None, 2.0 / 3.0),
     (UNITARY, "participation_ratio", None, 1.0 / (2.0 / 3.0)),
-    (ORTHOGONAL, "entropy", None, 2.0 * np.log(2.0) - 1.0),
+    # 2 ln 2 - 1 correctly rounded (40-digit mpmath); the expression
+    # 2.0 * np.log(2.0) - 1.0 rounds 1 ulp below it
+    (ORTHOGONAL, "entropy", None, float.fromhex("0x1.8b90bfbe8e7bdp-2")),
     (ORTHOGONAL, "purity", None, 3.0 / 4.0),
     (ORTHOGONAL, "participation_ratio", None, 1.0 / (3.0 / 4.0)),
+    *[(Induced(n, k, beta), f, None, want)
+      for n, k, beta in ((2, 2, 1), (3, 4, 4), (5, 7, 1))
+      for f, want in (("purity", purity_induced_exact(n, k, beta)),
+                      ("participation_ratio", 1.0 / purity_induced_exact(n, k, beta)))],
+    *[(ProductDirichlet(n, s), "trace_power", nu, dirichlet_moment_exact(n, s, nu))
+      for n, s, nu in ((2, 1.0, 2.0), (3, 0.7, 1.5), (4, 0.005, -0.001), (1, 0.3, -7.0))],
 ]
 
 
@@ -758,11 +821,14 @@ def test_exact_mean_is_the_analytics_value(measure, functional, nu, want):
 
 
 @pytest.mark.parametrize("measure,functional,nu", [
-    (Induced(2, 2, 1), "purity", None), (Induced(3, 4, 4), "entropy", None),
-    (HS, "participation", None), (HS, "trace_power", None), (Induced(2, 3), "tangle", None),
-    (Induced(3, 3), "concurrence", None), (Bures(2), "tangle", None),
-    (Bures(3), "trace_power", 2.0), (ProductDirichlet(2, 0.7), "purity", None),
-    (ProductDirichlet(3, 1.0), "entropy", None), (UNITARY, "trace_power", 2.0),
+    (Induced(2, 5, 1), "entropy", None), (Induced(3, 4, 4), "entropy", None),
+    (HS, "participation", None), (HS, "trace_power", None), (Induced(2, 1), "tangle", None),
+    (Induced(3, 3), "concurrence", None), (ProductDirichlet(3, 1.0), "tangle", None),
+    (Bures(3), "trace_power", 2.0), (Bures(2), "trace_power", 1.5),
+    (Induced(4, 4, 4), "entropy", None), (Induced(3, 3, 1), "trace_power", 2.0),
+    # where a Gamma ratio of the product moment leaves the double range
+    (ProductDirichlet(3, 1e299 / 3), "trace_power", 2.0), (UNITARY, "trace_power", 1e308),
+    (UNITARY, "trace_power", np.inf),
 ])
 def test_exact_mean_is_none_without_a_closed_form(measure, functional, nu):
     assert measure.exact_mean(functional, nu) is None
@@ -786,4 +852,79 @@ def test_induced_moment_domain_is_the_closed_forms(n, k):
     lowest = Induced(n, k).moment_domain()
     with pytest.raises(DomainError):
         induced_moment_exact(n, k, lowest)
-    assert induced_moment_exact(n, k, lowest + 0.25).value > 0
+    assert induced_moment_exact(n, k, lowest + 0.25) > 0
+
+
+_N2_SPECS = st.one_of(
+    st.builds(Induced, st.just(2), st.integers(2, 200), st.sampled_from([1, 2, 4])),
+    st.builds(ProductDirichlet, st.just(2), st.floats(1e-5, 1e6)),
+    st.just(BURES),
+)
+
+
+@settings(deadline=None)
+@given(measure=_N2_SPECS)
+def test_n2_means_follow_the_radial_law(measure):
+    # purity (1 + u)/2, tangle 1 - u and concurrence (1 - u)^(1/2) for
+    # u ~ Beta(a, b); Jensen's inequality orders the last two
+    a, b = measure.radial_law()
+    purity = measure.exact_mean("purity")
+    want = (2 * a + b) / (2 * (a + b))
+    assert abs(purity - want) <= 2 * math.ulp(want)
+    tangle, conc = measure.exact_mean("tangle"), measure.exact_mean("concurrence")
+    assert 0 < conc * conc <= tangle <= 1
+
+
+@pytest.mark.parametrize("measure", [HS, Induced(2, 5), Induced(2, 3, 1), Induced(2, 3, 4),
+                                     UNITARY, ORTHOGONAL, ProductDirichlet(2, 0.7), BURES])
+def test_n2_entanglement_means_against_mpmath(measure):
+    # b/(a + b) and B(a, b + 1/2)/B(a, b), against 40-digit mpmath
+    with mpmath.workdps(40):
+        a, b = (mpmath.mpf(v) for v in measure.radial_law())
+        for functional, want in (("tangle", b / (a + b)),
+                                 ("concurrence", mpmath.beta(a, b + 0.5) / mpmath.beta(a, b))):
+            got = measure.exact_mean(functional)
+            assert abs(mpmath.mpf(got) - want) <= 4 * math.ulp(float(want)), functional
+
+
+def _dirichlet_moment(n: int, s: float, nu: float) -> mpmath.mpf:
+    n, s, nu = mpmath.mpf(n), mpmath.mpf(s), mpmath.mpf(nu)
+    return n * mpmath.exp(mpmath.loggamma(s + nu) + mpmath.loggamma(n * s)
+                          - mpmath.loggamma(s) - mpmath.loggamma(n * s + nu))
+
+
+@pytest.mark.parametrize("s, ulps", [(1e-5, 18), (1e-3, 8), (0.3, 6), (1.0, 6), (7.0, 6),
+                                     (1e3, 6), (1e12, 6)])
+def test_dirichlet_moment_against_mpmath(s, ulps):
+    # the bounds measured on this grid, as the docstring states them
+    with mpmath.workdps(40):
+        for n in (2, 3, 16, 64):
+            for nu in (-0.9 * s, -0.5 * s, 0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 7.3, 20.0):
+                got = dirichlet_moment_exact(n, s, nu)
+                if got is None:  # only where a Gamma ratio leaves the double range
+                    assert s >= 1e3
+                    continue
+                want = _dirichlet_moment(n, s, nu)
+                assert abs(mpmath.mpf(got) - want) <= ulps * math.ulp(float(want)), (n, nu)
+
+
+def test_dirichlet_moment_domain_and_range():
+    assert dirichlet_moment_exact(3, 1.0, 2.0) == 0.5  # the purity (s + 1)/(ns + 1)
+    assert dirichlet_moment_exact(1, 0.5, -3.0) == 1.0  # the spectrum (1)
+    for nu in (-0.7, -1.0, -np.inf, np.nan):
+        with pytest.raises(DomainError, match=r"need nu > -0\.7"):
+            dirichlet_moment_exact(3, 0.7, nu)
+    for s, nu in ((1e299 / 3, 2.0), (1.0, 1e308), (1.0, np.inf), (1e3, -999.0)):
+        assert dirichlet_moment_exact(3, s, nu) is None
+
+
+@pytest.mark.parametrize("n, s, nu", [(3, 0.7, 1.5), (2, 0.5, -0.2), (4, 2.0, 3.0),
+                                      (3, 1.0, 0.5)])
+def test_dirichlet_moment_against_mc(n, s, nu):
+    from qmeasure import RandomStream, sample_spectra
+    from qmeasure.stats import spectrum_functional
+
+    spectra = sample_spectra(ProductDirichlet(n, s), 40000, RandomStream(74, 0))
+    vals = spectrum_functional(spectra, "trace_power", nu)
+    stderr = vals.std(ddof=1) / np.sqrt(vals.size)
+    assert abs(vals.mean() - dirichlet_moment_exact(n, s, nu)) <= 3 * stderr

@@ -133,10 +133,67 @@ def test_estimate_exact_fields(tmp_path):
     assert record["exact"] == pytest.approx(1.5)
     assert record["functional"] == "participation_ratio"
 
+    # psi(2.4) - psi(1.7) from the Beta(s, (n - 1) s) eigenvalue law
     code, out = run(
         tmp_path, "estimate", "--measure", "product", "--n", "2", "--s", "0.7",
         "--functional", "entropy", "--samples", "2000", "--seed", "2",
     )
+    record = json.loads(out.read_text())
+    assert record["exact"] == pytest.approx(0.4443532948271042, rel=1e-15)
+    assert abs(record["z_score"]) <= 4.0
+
+    code, out = run(
+        tmp_path, "estimate", "--measure", "induced", "--n", "2", "--k", "1",
+        "--functional", "tangle", "--samples", "200",
+    )
+    record = json.loads(out.read_text())
+    assert code == 0 and record["exact"] is None and record["z_score"] is None
+
+
+@pytest.mark.parametrize("argv, exact", [
+    (["--measure", "bures", "--n", "2", "--functional", "tangle"], 0.25),
+    (["--measure", "induced", "--n", "2", "--k", "3", "--beta", "1", "--functional",
+      "concurrence"], 2.0 / 3.0),
+    (["--measure", "product", "--n", "3", "--s", "1", "--functional", "entropy"], 5.0 / 6.0),
+    (["--measure", "induced", "--n", "3", "--k", "4", "--beta", "4", "--functional",
+      "purity"], 13.0 / 25.0),
+])
+def test_estimate_exact_from_each_law(tmp_path, argv, exact):
+    code, out = run(tmp_path, "estimate", *argv, "--samples", "5000", "--seed", "4")
+    record = json.loads(out.read_text())
+    assert code == 0
+    assert record["exact"] == pytest.approx(exact, rel=1e-15)
+    assert abs(record["z_score"]) <= 4.0
+
+
+def test_estimate_entanglement_needs_n2(capsys):
+    code = main(["estimate", "--measure", "induced", "--n", "3", "--k", "3",
+                 "--functional", "tangle", "--samples", "100", "--out", os.devnull])
+    assert code == 2
+    assert "tangle needs N=2 spectra" in capsys.readouterr().err
+
+
+def test_estimate_product_moment_bound(capsys):
+    code = main(["estimate", "--measure", "product", "--n", "3", "--s", "0.7",
+                 "--functional", "trace_power", "--nu=-0.7", "--samples", "100"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: need nu > -0.7 at n=3, s=0.7, got -0.7\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--s", repr(1e299 / 3), "--nu", "2"],
+    ["--s", "1", "--nu=1e308"],
+    ["--s", "1", "--nu=inf"],
+])
+def test_estimate_product_moment_out_of_range_is_null(tmp_path, argv):
+    # a Gamma ratio of the closed form leaves the double range: no exact value,
+    # never a NaN or inf
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(tmp_path, "estimate", "--measure", "product", "--n", "3", *argv,
+                        "--functional", "trace_power", "--samples", "200")
+    assert code == 0 and caught == []
     record = json.loads(out.read_text())
     assert record["exact"] is None and record["z_score"] is None
 
@@ -282,7 +339,7 @@ def test_estimate_hs_trace_power_small_nu(tmp_path):
                     "--seed", "4")
     assert code == 0
     record = json.loads(out.read_text())
-    assert record["exact"] == hs_moment_exact(3, 0.3).value
+    assert record["exact"] == hs_moment_exact(3, 0.3)
     assert abs(record["z_score"]) <= 4.0
 
 
@@ -291,12 +348,12 @@ def test_estimate_exact_values_off_the_diagonal(tmp_path):
         (("induced", "--n", "2", "--k", "5", "--functional", "entropy"),
          induced_mean_entropy_exact(2, 5)),
         (("induced", "--n", "3", "--k", "5", "--functional", "trace_power", "--nu", "1.5"),
-         induced_moment_exact(3, 5, 1.5).value),
+         induced_moment_exact(3, 5, 1.5)),
         (("induced", "--n", "4", "--k", "2", "--functional", "trace_power", "--nu", "0.5"),
-         induced_moment_exact(4, 2, 0.5).value),
+         induced_moment_exact(4, 2, 0.5)),
         (("bures", "--n", "4", "--functional", "entropy"), bures_mean_entropy_exact(4)),
         (("hs", "--n", "8", "--functional", "trace_power", "--nu", "150"),
-         induced_moment_exact(8, 8, 150.0).value),
+         induced_moment_exact(8, 8, 150.0)),
     ]
     for argv, exact in cases:
         code, out = run(tmp_path, "estimate", "--measure", *argv, "--samples", "2000",

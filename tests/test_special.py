@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import oracles
 import pytest
@@ -10,6 +11,7 @@ from qmeasure.errors import DomainError
 from qmeasure.special import (
     EULER_GAMMA,
     digamma,
+    digamma_difference,
     gamma_ratio,
     log_gamma,
 )
@@ -119,3 +121,26 @@ def test_gamma_ratio_range_and_domain():
         with pytest.raises(DomainError):
             gamma_ratio(x, a)
 
+
+
+@pytest.mark.parametrize("s", [1e-5, 1e-3, 0.5, 1.0, 7.0, 1e3, 1e6, 1e12])
+@pytest.mark.parametrize("n", [2, 3, 16, 64])
+def test_digamma_difference_against_mpmath(s, n):
+    # the product-Dirichlet mean entropy psi(ns + 1) - psi(s + 1), against
+    # 40-digit mpmath at the exact binary values of s and ns
+    with mpmath.workdps(40):
+        want = mpmath.digamma(n * mpmath.mpf(s) + 1) - mpmath.digamma(mpmath.mpf(s) + 1)
+        got = digamma_difference(s + 1.0, (n - 1) * s)
+        assert abs(mpmath.mpf(got) - want) <= 4 * math.ulp(float(want))
+
+
+def test_digamma_difference_values_and_domain():
+    assert digamma_difference(2.0, 1.0) == 0.5  # psi(3) - psi(2) = 1/2
+    assert digamma_difference(1.5, 0.5) == float.fromhex("0x1.8b90bfbe8e7bdp-2")  # 2 ln 2 - 1
+    assert digamma_difference(3.7, 0.0) == 0.0
+    # psi(x + 1) - psi(x) = 1/x at every scale
+    for y in (1e-300, 0.25, 9.5, 1e8, 1e300):
+        assert _ulps(digamma_difference(y, 1.0), 1.0 / y) <= 2
+    for y, d in ((0.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError):
+            digamma_difference(y, d)

@@ -1,7 +1,6 @@
 """The battery's exact references, and negative controls showing that
 criteria 8 and 9 fail when the closed forms they check are perturbed."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -46,15 +45,18 @@ def test_criterion_8_fails_on_a_scaled_density(monkeypatch):
                         lambda *args: density(*args) * (1.0 + 1e-5))
     failed = _failed_checks(8)
     assert len(failed) == 5 and all(name.startswith("unit mass") for name in failed)
+    assert "unit mass Bures N=2" not in failed
+    monkeypatch.setattr(analytics, "joint_eigenvalue_density", density)
+    bures = analytics.bures_joint_density
+    monkeypatch.setattr(analytics, "bures_joint_density",
+                        lambda *args: tuple(v * (1.0 - 1e-5) for v in bures(*args)))
+    assert _failed_checks(8) == ["unit mass Bures N=2"]
 
 
 @pytest.mark.parametrize("scale", [1.0 + 1e-12, 1.0 - 1e-12])
 def test_criterion_9_fails_on_a_scaled_moment(monkeypatch, scale):
     moment = analytics.induced_moment_exact
 
-    def scaled(n, k, nu):
-        report = moment(n, k, nu)
-        return dataclasses.replace(report, value=report.value * scale)
-
-    monkeypatch.setattr(analytics, "induced_moment_exact", scaled)
+    monkeypatch.setattr(analytics, "induced_moment_exact",
+                        lambda n, k, nu: moment(n, k, nu) * scale)
     assert len(_failed_checks(9)) == 2
