@@ -15,9 +15,12 @@ run on for the per-row linear algebra. Their output does not depend on the
 CPU count: each chunk's RNG draws are made on the calling thread in stream
 order, and only the matrix formation, eigensolve, normalisation and checks of
 independent rows are spread over one shared, lazily created thread pool.
-Induced spectra at small n are the exception: their eigenvalues come from
-:func:`_small_tridiagonal_eigvals`, a column-arithmetic copy of LAPACK's
-dsterf with ``eigvalsh``'s bits, which runs on the calling thread.
+Induced spectra at n <= 4 are the exception: their eigenvalues come from
+column arithmetic over blocks of rows on the calling thread
+(:func:`_small_tridiagonal_eigvals`). At n = 3 that is O. K. Smith's
+trigonometric closed form, within 1e-13 of the largest eigenvalue from
+``eigvalsh`` and more accurate in the smallest; at n = 2 and 4 it is a copy
+of LAPACK's dsterf with ``eigvalsh``'s bits.
 """
 
 from __future__ import annotations
@@ -381,7 +384,11 @@ def sample_spectra(measure: MeasureSpec, count: int, stream: RandomStream) -> np
     Every route is exact and rejection-free. Large calls run their per-row
     linear algebra on every CPU the process may run on, except induced
     spectra at n <= 4, whose eigensolve runs on the calling thread; the
-    output is the same on any number of CPUs.
+    output is the same on any number of CPUs. Induced spectra at n = 3 (and
+    k = 3 < n) take their eigenvalues from a closed form, which agrees with
+    a dense ``eigvalsh`` within 1e-13 of the largest eigenvalue and keeps the
+    smallest accurate to relative rounding; every other induced spectrum has
+    ``eigvalsh``'s bits.
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
@@ -438,13 +445,18 @@ def sample_matrices(measure: MeasureSpec, count: int, stream: RandomStream) -> n
 
         def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
             # Gamma variates take a variable number of RNG words, so the
-            # per-sample order (Dirichlet row, then 2 n^2 normals) is kept
+            # per-sample order (Dirichlet row, redrawn as _dirichlet_rows
+            # does, then 2 n^2 normals) is kept
             lam = np.empty((m, n))
             z = np.empty((m, 2, n, n))
+            gamma, normal = rng.gamma, rng.standard_normal
             for i in range(m):
-                lam[i] = _dirichlet_rows(n, s, rng, 1)[0]
-                rng.standard_normal(out=z[i])
-            return lam, z
+                row = gamma(s, 1.0, size=(1, n))
+                while _row_sums(row)[0] < ZERO_TRACE_GUARD:
+                    row = gamma(s, 1.0, size=(1, n))
+                lam[i] = row[0]
+                normal(out=z[i])
+            return lam / _row_sums(lam)[:, None], z
 
         def form(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
             u = _haar_from_ginibre(z[:, 0] + 1j * z[:, 1])
@@ -489,9 +501,9 @@ else:
 # 0.70-0.97x at 2^16 for every Induced n <= 64 and Bures n = 3, 5, 8. So two
 # slices of 2^15 entries each are the smallest split that paid everywhere.
 # The finishes that use the pool are the dense eigvalsh of induced spectra
-# (n > _DSTERF_MAX_N, or fewer than _DSTERF_MIN_ROWS rows), Bures n >= 3
-# spectra, the purification route and every sample_matrices measure; the
-# small-n dsterf kernel runs inline (see _DSTERF_MAX_N).
+# (n > _DSTERF_MAX_N, or n = 4 with fewer than _DSTERF_MIN_ROWS rows), Bures
+# n >= 3 spectra, the purification route and every sample_matrices measure;
+# the n = 3 closed form and the dsterf kernel run inline (see _DSTERF_MAX_N).
 _SLICE_ENTRIES = 2**15
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -556,22 +568,26 @@ def _laguerre_spectra(n: int, k: int, beta: int, count: int, rng: np.random.Gene
         return rng.chisquare(diag_df, size=(m, n)), rng.chisquare(sub_df, size=(m, n - 1))
 
     chunk = max(1, _CHUNK_ENTRIES // (n * n))
-    if n == 2 or (n <= _DSTERF_MAX_N and count >= _DSTERF_MIN_ROWS):
-        return _batched_spectra(n, count, chunk, draw, _small_tridiagonal_eigvals, pooled=False)
-    return _batched_spectra(n, count, chunk, draw, _tridiagonal_eigvals)
+    if n == 3:
+        solve = _trigonometric_eigvals
+    elif n == 2 or (n <= _DSTERF_MAX_N and count >= _DSTERF_MIN_ROWS):
+        solve = _dsterf
+    else:
+        return _batched_spectra(n, count, chunk, draw, _tridiagonal_eigvals)
+    eigvals = functools.partial(_small_tridiagonal_eigvals, solve=solve)
+    return _batched_spectra(n, count, chunk, draw, eigvals, pooled=False)
 
 
-# _small_tridiagonal_eigvals serves every call at n = 2, and calls of at
-# least _DSTERF_MIN_ROWS rows for 3 <= n <= _DSTERF_MAX_N; it runs inline, as
-# its numpy calls on blocks of rows hold the GIL between them. Timed on 2
-# CPUs (sample_spectra, median of 21-25 alternating calls) against the
-# dense route on the pool, it took 0.69x the time at (n, k) = (3, 6) and
-# 0.80x at (4, 4) with 2048 rows, 0.63-0.69x at (3, 6) and 0.87x at (4, 4)
-# from 2500 to 10^5 rows, but 1.21x and 1.42x at 512 rows, where its fixed
-# cost of some hundred numpy calls per stage dominates. At n = 5 it took
-# 0.88-1.11x, a tie, and at n = 6 1.03-1.19x. On the pool, in slices of
-# at least 2^15 entries, it took 1.7-1.9x at 5000 rows and 0.74-1.05x at
-# 10^5 rows, no better than inline.
+# n = 3 takes the closed form at any count. The dsterf kernel serves every
+# call at n = 2, and calls of at least _DSTERF_MIN_ROWS rows at n = 4; both
+# run inline, as their numpy calls on blocks of rows hold the GIL between
+# them. Timed on 2 CPUs (sample_spectra, median of 21-25 alternating calls)
+# against the dense route on the pool, the kernel took 0.80x the time at
+# (n, k) = (4, 4) with 2048 rows and 0.87x from 2500 to 10^5 rows, but 1.42x
+# at 512 rows, where its fixed cost of some hundred numpy calls per stage
+# dominates. At n = 5 it took 0.88-1.11x, a tie, and at n = 6 1.03-1.19x.
+# On the pool, in slices of at least 2^15 entries, it took 1.7-1.9x at 5000
+# rows and 0.74-1.05x at 10^5 rows, no better than inline.
 _DSTERF_MAX_N, _DSTERF_MIN_ROWS = 4, 2048
 
 
@@ -597,49 +613,39 @@ _EPS = np.finfo(np.float64).eps / 2
 # inward: dsterf scales below sqrt(safmin)/eps^2 ~ 1.2e-122, dsyevd above
 # sqrt(eps/safmin) ~ 1.0e146 and dsterf above sqrt(1/safmin)/3 ~ 2.2e153
 _UNSCALED_MIN, _UNSCALED_MAX = 1e-120, 1e145
+# the smallest normal double
+_DOUBLE_MIN = np.finfo(np.float64).tiny
 # dsterf gives up after 30 n QL sweeps in all. A row of the kernel may take
 # 30 at each of its n - 2 sweeping stages, which stays below that cap.
 _STAGE_SWEEPS = 30
 
 
-def _small_tridiagonal_eigvals(d2: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """:func:`_tridiagonal_eigvals` with the same bits, as column arithmetic
-    over blocks of rows instead of one LAPACK call per row.
-
-    For this T numpy's eigvalsh runs dsyevd, whose dsytrd leaves a
-    tridiagonal matrix as it is, then dsterf. :func:`_dsterf` repeats
-    dsterf's operations in its order on the path that an unsplit, unscaled
-    T takes: square the off-diagonal, choose QL or QR, run implicit QL
-    sweeps until the top off-diagonal deflates, solve the last 2 x 2 by
-    dlae2 and sort. At n = 2 that path has no sweep. The rows on which
-    LAPACK would do something else (an initial split, a deflation below the
-    top of the active block or of the last 2 x 2, a rescaling by dsyevd or
-    dsterf, dsterf's sweep cap) go to the dense route; sampled rows
-    essentially never do. The bits match LAPACK built without fused
-    multiply-adds, as the x86-64 numpy wheels are.
-    """
-    out = np.empty(d2.shape)
-    for lo in range(0, d2.shape[0], _BLOCK_ROWS):
-        block = slice(lo, lo + _BLOCK_ROWS)
-        kept = _dsterf(d2[block], e2[block], out[block])
-        if not kept.all():
-            other = np.flatnonzero(~kept) + lo
-            out[other] = _tridiagonal_eigvals(d2[other], e2[other])
-    return out
-
-
-# Rows per block of _dsterf: its temporaries of 64 kB each stay in the CPU
-# caches. At 10^5 rows on 2 CPUs, blocks of 2^12..2^14 rows took 0.35-0.5x
-# the time of one pass over all rows at n = 2, and the memory they hold is
-# bounded. At n = 3..5, 2^13 and 2^14 rows took the same time within 10%,
-# and 2^11 rows 1.3-1.5x that.
+# Rows per block of _small_tridiagonal_eigvals: the temporaries of 64 kB
+# each stay in the CPU caches. At 10^5 rows on 2 CPUs, dsterf's blocks of
+# 2^12..2^14 rows took 0.35-0.5x the time of one pass over all rows at n = 2,
+# and the memory they hold is bounded. At n = 3..5, 2^13 and 2^14 rows took
+# the same time within 10%, and 2^11 rows 1.3-1.5x that. The n = 3 closed
+# form took 6-9 ms per 10^5 rows at 2^13 and 9-12 ms at 2^11, 2^12 and 2^14.
 _BLOCK_ROWS = 2**13
 
 
 def _dsterf(d2: np.ndarray, e2: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write dsterf's ascending eigenvalues of each row's T into ``out`` and
     return the mask of the rows on which dsterf takes the path repeated
-    here; the other rows of ``out`` are meaningless."""
+    here; the other rows of ``out`` are meaningless.
+
+    For this T numpy's eigvalsh runs dsyevd, whose dsytrd leaves a
+    tridiagonal matrix as it is, then dsterf. This repeats dsterf's
+    operations in its order on the path that an unsplit, unscaled T takes:
+    square the off-diagonal, choose QL or QR, run implicit QL sweeps until
+    the top off-diagonal deflates, solve the last 2 x 2 by dlae2 and sort.
+    At n = 2 that path has no sweep. The rows on which LAPACK would do
+    something else (an initial split, a deflation below the top of the
+    active block or of the last 2 x 2, a rescaling by dsyevd or dsterf,
+    dsterf's sweep cap) are left out; sampled rows essentially never are.
+    The bits match LAPACK built without fused multiply-adds, as the x86-64
+    numpy wheels are.
+    """
     m, n = d2.shape
     # the rows of extreme or degenerate input go to the dense route, which
     # raises the warnings numpy always raised for them
@@ -776,6 +782,85 @@ def _dlae2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.
     # a + c > 0, so dlae2's larger and smaller of |a| and |c| are max and min
     rt2 = (np.maximum(a, c) / rt1) * np.minimum(a, c) - (b / rt1) * b
     return rt1, rt2
+
+
+# The closed form leaves out the rows with |r| >= 1 - _ACOS_MARGIN, where
+# arccos(r) loses digits as the two eigenvalues on one side of q close up.
+# Against eigvalsh on 10^6 sampled rows of Induced(3, 3, beta = 1) (2 CPUs,
+# numpy 2.4.6), the rows kept were within 9.5e-15, 5.1e-14, 1.1e-13 and
+# 1.6e-13 of lambda_max with margins 1e-4, 1e-6, 1e-7 and 0, while 1574, 24,
+# 4 and 0 rows were left out; at (3, 4, 1) 3.8e-14 with 9 rows left out at
+# 1e-6, and 1.1e-13 at 1e-7. At 1e-6 no row of (3, 3) or (3, 6) at beta = 2,
+# or of (3, 3, 4), was left out, and every kept row was within 2.8e-14.
+_ACOS_MARGIN = 1e-6
+_THIRD_TURN = 2.0 * math.pi / 3.0
+
+
+def _trigonometric_eigvals(d2: np.ndarray, e2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the ascending eigenvalues of each row's 3 x 3 T into ``out`` by
+    O. K. Smith's trigonometric form (Commun. ACM 4 (1961) 168) and return
+    the mask of the rows it keeps; the other rows of ``out`` are meaningless.
+
+    With q = tr T/3, p^2 = |T - q I|_F^2/6 and r = det((T - q I)/p)/2, the
+    eigenvalues are q + 2 p cos(arccos(r)/3 + 2 pi j/3), j = 0, 1, 2; j = 0 is
+    the largest and j = 1 the smallest. The middle one is tr T less those
+    two, and the smallest is then taken again as det T/(lambda_max
+    lambda_mid), where det T = d_1^2 d_2^2 d_3^2 is the product of the
+    bidiagonal's squared diagonal: that keeps it accurate to relative
+    rounding however small it is, where eigvalsh is accurate only to
+    rounding of lambda_max. A row is kept if every squared entry of the
+    bidiagonal lies in [_UNSCALED_MIN, _UNSCALED_MAX], which keeps p^2
+    positive and normal, if det T is a normal double, which keeps every
+    eigenvalue finite and det T/(lambda_max lambda_mid) exact to rounding,
+    and if |r| < 1 - _ACOS_MARGIN.
+    """
+    x1, x2, x3 = d2.T
+    y1, y2 = e2.T
+    with np.errstate(all="ignore"):
+        a2, a3 = x2 + y1, x3 + y2
+        trace = x1 + a2 + a3
+        q = trace / 3.0
+        # T - q I: its diagonal, and its squared off-diagonal
+        b1, b2, b3 = x1 - q, a2 - q, a3 - q
+        c1, c2 = x1 * y1, x2 * y2
+        p2 = (b1 * b1 + b2 * b2 + b3 * b3 + 2.0 * (c1 + c2)) / 6.0
+        p = np.sqrt(p2)
+        b1, b2, b3, c1, c2 = b1 / p, b2 / p, b3 / p, c1 / p2, c2 / p2
+        r = 0.5 * (b1 * (b2 * b3 - c2) - b3 * c1)
+        phi = np.arccos(r) / 3.0
+        two_p = p + p
+        top = q + two_p * np.cos(phi)
+        mid = trace - top - (q + two_p * np.cos(phi + _THIRD_TURN))
+        det = x1 * x2 * x3
+        out[:, 0] = det / (top * mid)
+        out[:, 1] = mid
+        out[:, 2] = top
+        # the smallest two meet as |r| -> 1, which the mask leaves out, but
+        # rounding may still swap them
+        _sort_network(out.T[::-1])
+        entries = (x1, x2, x3, y1, y2)
+        return ((np.abs(r) < 1.0 - _ACOS_MARGIN) & (det >= _DOUBLE_MIN) & (det < math.inf)
+                & (functools.reduce(np.minimum, entries) >= _UNSCALED_MIN)
+                & (functools.reduce(np.maximum, entries) <= _UNSCALED_MAX))
+
+
+def _small_tridiagonal_eigvals(d2: np.ndarray, e2: np.ndarray, solve=_dsterf) -> np.ndarray:
+    """:func:`_tridiagonal_eigvals` as column arithmetic over blocks of
+    rows instead of one LAPACK call per row.
+
+    ``solve(d2, e2, out)`` writes a block's ascending eigenvalues into
+    ``out`` and returns the mask of the rows it keeps; the rows it does not
+    keep go to the dense route. :func:`_dsterf`, the default, has the bits
+    of eigvalsh; :func:`_trigonometric_eigvals` serves n = 3.
+    """
+    out = np.empty(d2.shape)
+    for lo in range(0, d2.shape[0], _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        kept = solve(d2[block], e2[block], out[block])
+        if not kept.all():
+            other = np.flatnonzero(~kept) + lo
+            out[other] = _tridiagonal_eigvals(d2[other], e2[other])
+    return out
 
 
 def _batched(out: np.ndarray, chunk: int, draw, finish, pooled: bool = True) -> np.ndarray:

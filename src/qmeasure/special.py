@@ -106,9 +106,13 @@ def gamma_ratio(x: float, a: float) -> float:
                 - sum_{i<s} log1p(d/(x + i)))
 
     with S Stirling's series, every term of the exponent summed by
-    ``math.fsum``. At integer a the ratio is the product alone. The error is
-    within 4 ulps for the fractional part, and each factor of the integer
-    part adds at most one.
+    ``math.fsum``. At integer a the ratio is the product alone. The error of
+    the fractional part is within 4 ulps for x >= 1/2, and each factor of the
+    integer part adds at most one. Below x = 1/2 the lift's first term
+    log1p(d/x) grows to ln(1/x), and exp() turns its rounding into relative
+    error: on 3000 log-uniform x in [1e-5, 1/2] with a uniform in (0, 1) the
+    fractional part was within 9 * 2^-52 relative of 40-digit mpmath (8.4 *
+    2^-52 at x = 3.5e-5, a = 0.263).
     """
     x, a = float(x), float(a)
     if not (x > 0 and x + a > 0):

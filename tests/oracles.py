@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from qmeasure.core import ZERO_TRACE_GUARD
 from scipy import integrate, special
 from scipy.interpolate import PchipInterpolator
 
@@ -118,3 +119,23 @@ def bidiagonal_purity(n: int, k: int, beta: int) -> Fraction:
     tr_w2 += sum(2 * diag[i] * sub[i] for i in range(n))
     total = sum(diag) + sum(sub)
     return tr_w2 / (total * total + 2 * total)
+
+
+def product_matrix_draws(n: int, s: float, rng: np.random.Generator, count: int):
+    """The random draws behind ``count`` ProductDirichlet(n, s) matrices, made
+    one sample at a time as the matrix sampler first made them: a row of n
+    Gamma(s) variates, redrawn while it sums below ZERO_TRACE_GUARD and then
+    divided by its sum, then the sample's 2 n^2 Haar normals. Returns the
+    rows (count, n) and the normals (count, 2, n, n)."""
+    lam = np.empty((count, n))
+    z = np.empty((count, 2, n, n))
+    for i in range(count):
+        row = rng.gamma(s, 1.0, size=(1, n))
+        total = row.sum(axis=1)
+        while np.any(total < ZERO_TRACE_GUARD):
+            bad = total < ZERO_TRACE_GUARD
+            row[bad] = rng.gamma(s, 1.0, size=(int(bad.sum()), n))
+            total = row.sum(axis=1)
+        lam[i] = (row / total[:, None])[0]
+        rng.standard_normal(out=z[i])
+    return lam, z

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -826,8 +828,9 @@ def test_exact_mean_is_the_analytics_value(measure, functional, nu, want):
     (Induced(3, 3), "concurrence", None), (ProductDirichlet(3, 1.0), "tangle", None),
     (Bures(3), "trace_power", 2.0), (Bures(2), "trace_power", 1.5),
     (Induced(4, 4, 4), "entropy", None), (Induced(3, 3, 1), "trace_power", 2.0),
-    # where a Gamma ratio of the product moment leaves the double range
-    (ProductDirichlet(3, 1e299 / 3), "trace_power", 2.0), (UNITARY, "trace_power", 1e308),
+    # where the product moment leaves the double range: about 3e827, 2e-308
+    # (below the normal doubles) and 0
+    (ProductDirichlet(3, 1e3), "trace_power", -999.0), (UNITARY, "trace_power", 1e308),
     (UNITARY, "trace_power", np.inf),
 ])
 def test_exact_mean_is_none_without_a_closed_form(measure, functional, nu):
@@ -901,11 +904,22 @@ def test_dirichlet_moment_against_mpmath(s, ulps):
         for n in (2, 3, 16, 64):
             for nu in (-0.9 * s, -0.5 * s, 0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 7.3, 20.0):
                 got = dirichlet_moment_exact(n, s, nu)
-                if got is None:  # only where a Gamma ratio leaves the double range
-                    assert s >= 1e3
-                    continue
                 want = _dirichlet_moment(n, s, nu)
+                if got is None:  # only where the moment leaves the normal doubles
+                    assert not sys.float_info.min <= want < sys.float_info.max, (n, nu)
+                    continue
                 assert abs(mpmath.mpf(got) - want) <= ulps * math.ulp(float(want)), (n, nu)
+
+
+@pytest.mark.parametrize("n, s, nu", [(2, 1e6, 150.0), (64, 1.0, 150.0), (64, 7.0, 300.3),
+                                      (2, 100.0, 1e4), (16, 10.0, 300.5)])
+def test_dirichlet_moment_beyond_the_gamma_ratios_against_mpmath(n, s, nu):
+    # Gamma(s + nu)/Gamma(s) or Gamma(ns + nu)/Gamma(ns) overflows, but the
+    # moment does not: the integer part of the shift is one exact product
+    assert math.inf in (analytics.gamma_ratio(s, nu), analytics.gamma_ratio(n * s, nu))
+    with mpmath.workdps(60):
+        want = _dirichlet_moment(n, s, nu)
+    assert abs(mpmath.mpf(dirichlet_moment_exact(n, s, nu)) - want) <= 4 * math.ulp(float(want))
 
 
 def test_dirichlet_moment_domain_and_range():
@@ -914,8 +928,16 @@ def test_dirichlet_moment_domain_and_range():
     for nu in (-0.7, -1.0, -np.inf, np.nan):
         with pytest.raises(DomainError, match=r"need nu > -0\.7"):
             dirichlet_moment_exact(3, 0.7, nu)
-    for s, nu in ((1e299 / 3, 2.0), (1.0, 1e308), (1.0, np.inf), (1e3, -999.0)):
+    for s, nu in ((1.0, 1e308), (1.0, np.inf), (1e3, -999.0), (1e6, 1000.0)):
         assert dirichlet_moment_exact(3, s, nu) is None
+    # Gamma ratios out of range, the moment not: exact, rounded once
+    huge = Fraction(1e299 / 3)
+    assert dirichlet_moment_exact(3, 1e299 / 3, 2.0) == float((huge + 1) / (3 * huge + 1))
+    big = Fraction(1e200)
+    assert dirichlet_moment_exact(3, 1e200, -2.0) == float(
+        3 * (3 * big - 2) * (3 * big - 1) / ((big - 2) * (big - 1)))
+    # (2, 1e-5) at nu = 1e300: 2 Gamma(2e-5)/Gamma(1e-5) (1e300)^(-1e-5), nearly
+    assert dirichlet_moment_exact(2, 1e-5, 1e300) == pytest.approx(0.99311, abs=1e-5)
 
 
 @pytest.mark.parametrize("n, s, nu", [(3, 0.7, 1.5), (2, 0.5, -0.2), (4, 2.0, 3.0),

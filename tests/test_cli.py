@@ -182,13 +182,13 @@ def test_estimate_product_moment_bound(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--s", repr(1e299 / 3), "--nu", "2"],
+    ["--s", "1e6", "--nu", "1000"],
     ["--s", "1", "--nu=1e308"],
     ["--s", "1", "--nu=inf"],
 ])
 def test_estimate_product_moment_out_of_range_is_null(tmp_path, argv):
-    # a Gamma ratio of the closed form leaves the double range: no exact value,
-    # never a NaN or inf
+    # the moment leaves the double range (about 1e-477, 3e-616 and 0): no
+    # exact value, never a NaN or inf
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out = run(tmp_path, "estimate", "--measure", "product", "--n", "3", *argv,
@@ -196,6 +196,15 @@ def test_estimate_product_moment_out_of_range_is_null(tmp_path, argv):
     assert code == 0 and caught == []
     record = json.loads(out.read_text())
     assert record["exact"] is None and record["z_score"] is None
+
+
+def test_estimate_product_moment_past_the_gamma_ratios(tmp_path):
+    # Gamma(s + 2)/Gamma(s) overflows at s = 1e299/3, but the moment is the
+    # purity (s + 1)/(3s + 1)
+    code, out = run(tmp_path, "estimate", "--measure", "product", "--n", "3", "--s",
+                    repr(1e299 / 3), "--nu", "2", "--functional", "trace_power", "--samples", "200")
+    assert code == 0
+    assert json.loads(out.read_text())["exact"] == 1.0 / 3.0
 
 
 def test_estimate_workers_contract(tmp_path):

@@ -40,7 +40,7 @@ from qmeasure.ensembles import (
 )
 from qmeasure.stats import chi2_test
 
-from oracles import numeric_cdf
+from oracles import numeric_cdf, product_matrix_draws
 
 
 # ------------------------------------------------------------- random stream
@@ -601,6 +601,21 @@ def test_sample_matrices_bit_equal_to_single_draws(measure, chunk_rows, monkeypa
     assert np.array_equal(sample_matrices(measure, 20, RandomStream(61, 2)), batch)
 
 
+@pytest.mark.parametrize("n, s", [(2, 1e-5), (3, 1e-5), (3, 1.0), (3, 0.5), (5, 0.01)])
+def test_product_matrices_draw_as_the_per_sample_loop(n, s):
+    # at s = 1e-5 nearly every n = 2 Dirichlet row underflows to all zeros
+    # and is redrawn, tens of times on average
+    stream = RandomStream(79, n)
+    batch = sample_matrices(ProductDirichlet(n, s), 40, stream)
+    rng = RandomStream(79, n).rng
+    lam, z = product_matrix_draws(n, s, rng, 40)
+    u = ensembles._haar_from_ginibre(z[:, 0] + 1j * z[:, 1])
+    w = (u * np.sort(lam, axis=1)[:, None, ::-1]) @ np.swapaxes(u.conj(), 1, 2)
+    assert np.array_equal(batch, 0.5 * (w + np.swapaxes(w.conj(), 1, 2)))
+    # and both consumed the same RNG words
+    assert stream.rng.random() == rng.random()
+
+
 def test_single_matrix_functions_are_first_batch_rows():
     for draw, measure in (
         (lambda s: induced_density_matrix(3, 4, 2, s), Induced(3, 4, 2)),
@@ -678,6 +693,11 @@ def _bures_reference(n, count, rng):
     return ev[:, ::-1]
 
 
+# The closed form's eigenvalues are within 1e-13 lambda_max of eigvalsh's;
+# on trace-normalised rows that is 1e-13 of the trace
+CLOSED_FORM_TOL = 1e-13
+
+
 @pytest.mark.parametrize("measure", [
     Induced(3, 6, 2), Induced(3, 3, 1), Induced(2, 5, 4), Induced(4, 2, 2), Induced(5, 3, 1),
     Induced(2, 2, 2), Induced(2, 1000, 1), Bures(3), Bures(5),
@@ -698,9 +718,24 @@ def test_pooled_spectra_bit_equal_to_inline(measure, chunk_rows, monkeypatch):
     monkeypatch.setattr(ensembles, "_THREADS", 1)
     assert np.array_equal(pooled, sample_spectra(measure, 301, RandomStream(64, 5)))
     rng = RandomStream(64, 5).rng
-    reference = [_bures_reference(measure.n, m, rng) if bures else
-                 _laguerre_reference(measure.n, measure.k, measure.beta, m, rng) for m in sizes]
-    assert np.array_equal(pooled, np.concatenate(reference))
+    reference = np.concatenate([
+        _bures_reference(measure.n, m, rng) if bures else
+        _laguerre_reference(measure.n, measure.k, measure.beta, m, rng) for m in sizes])
+    if bures or min(measure.n, measure.k) != 3:
+        assert np.array_equal(pooled, reference)
+        return
+    # the n = 3 closed form is within its bound of eigvalsh, and the chunks
+    # give the bytes of one call over the same draws
+    assert np.max(np.abs(pooled - reference)) <= CLOSED_FORM_TOL
+    rng = RandomStream(64, 5).rng
+    big = max(measure.n, measure.k)
+    d2, e2 = (np.concatenate(x) for x in zip(*(
+        _sampled_bidiagonal(3, big, measure.beta, m, rng) for m in sizes)))
+    ev = np.clip(ensembles._small_tridiagonal_eigvals(d2, e2, ensembles._trigonometric_eigvals),
+                 0.0, None)
+    expected = np.zeros((301, measure.n))
+    expected[:, :3] = (ev / ev.sum(axis=1, keepdims=True))[:, ::-1]
+    assert np.array_equal(pooled, expected)
 
 
 @pytest.mark.parametrize("n, k", [(2, 2), (3, 4), (4, 2)])
@@ -954,25 +989,127 @@ def test_small_tridiagonal_eigvals_sends_other_lapack_paths_to_eigvalsh(d2, e2, 
     assert calls == [1, 1]
 
 
+def _record_routes(monkeypatch):
+    """Patch the three eigenvalue routes of induced spectra to record, in
+    call order, which of them ran."""
+    routes = []
+    for name, route in (("_dsterf", "dsterf"), ("_trigonometric_eigvals", "closed form"),
+                        ("_tridiagonal_eigvals", "dense")):
+        def record(*args, solve=getattr(ensembles, name), route=route):
+            routes.append(route)
+            return solve(*args)
+
+        monkeypatch.setattr(ensembles, name, record)
+    return routes
+
+
 @pytest.mark.parametrize("n, count, kernel", [
-    (2, 10, True), (3, ensembles._DSTERF_MIN_ROWS, True), (4, ensembles._DSTERF_MIN_ROWS, True),
-    (3, ensembles._DSTERF_MIN_ROWS - 1, False), (ensembles._DSTERF_MAX_N + 1, 20000, False),
+    (2, 10, True), (4, ensembles._DSTERF_MIN_ROWS, True), (4, ensembles._DSTERF_MIN_ROWS - 1, False),
+    (ensembles._DSTERF_MAX_N + 1, 20000, False),
 ])
 def test_laguerre_spectra_route(n, count, kernel, monkeypatch):
-    # the kernel's cut and row floor, and the same bytes on either route
-    routes = []
-
-    def recording(route, eigvals):
-        def record(d2, e2):
-            routes.append(route)
-            return eigvals(d2, e2)
-        return record
-
-    monkeypatch.setattr(ensembles, "_small_tridiagonal_eigvals",
-                        recording("kernel", ensembles._small_tridiagonal_eigvals))
-    monkeypatch.setattr(ensembles, "_tridiagonal_eigvals",
-                        recording("dense", ensembles._tridiagonal_eigvals))
+    # the dsterf kernel's cut and row floor, and the same bytes on either route
+    routes = _record_routes(monkeypatch)
     got = sample_spectra(Induced(n, n + 1), count, RandomStream(75, n))
-    assert routes[0] == ("kernel" if kernel else "dense")
+    assert routes[0] == ("dsterf" if kernel else "dense")
     rng = RandomStream(75, n).rng
     assert np.array_equal(got, _laguerre_reference(n, n + 1, 2, count, rng))
+
+
+# ------------------------------------------------------- n = 3 closed form
+
+@pytest.mark.parametrize("count", [1, ensembles._DSTERF_MIN_ROWS - 1, ensembles._DSTERF_MIN_ROWS, 20000])
+@pytest.mark.parametrize("n, k", [(3, 4), (5, 3)])
+def test_laguerre_spectra_closed_form_route(n, k, count, monkeypatch):
+    # n = 3, and k = 3 < n, take the closed form at any count
+    routes = _record_routes(monkeypatch)
+    got = sample_spectra(Induced(n, k), count, RandomStream(75, 3))
+    assert routes and set(routes) == {"closed form"}
+    reference = _laguerre_reference(n, k, 2, count, RandomStream(75, 3).rng)
+    assert np.max(np.abs(got - reference)) <= CLOSED_FORM_TOL
+    assert np.all(got[:, 3:] == 0.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    k=st.integers(1, 40),
+    beta=st.sampled_from([1, 2, 4]),
+    count=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_n3_rows_are_spectra(k, beta, count, seed):
+    spectra = sample_spectra(Induced(3, k, beta), count, RandomStream(seed, 0))
+    _assert_valid_rows(spectra, count, 3)
+
+
+@pytest.mark.parametrize("k, beta", [(3, 1), (3, 2), (6, 2), (3, 4), (4, 1)])
+def test_closed_form_within_bound_of_eigvalsh(k, beta):
+    d2, e2 = _sampled_bidiagonal(3, k, beta, 10**5, RandomStream(76 + beta, k).rng)
+    got = ensembles._small_tridiagonal_eigvals(d2, e2, ensembles._trigonometric_eigvals)
+    reference = ensembles._tridiagonal_eigvals(d2, e2)
+    assert np.all(np.abs(got - reference) <= 1e-13 * reference[:, 2:])
+    assert np.all(np.diff(got, axis=1) >= 0)
+
+
+def _mpmath_eigvals(d2, e2):
+    """Ascending eigenvalues of one row's T = B B^T by 40-digit mpmath."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        x, y = [mpmath.mpf(v) for v in d2], [mpmath.mpf(v) for v in e2]
+        t = mpmath.matrix(3, 3)
+        t[0, 0], t[1, 1], t[2, 2] = x[0], x[1] + y[0], x[2] + y[1]
+        t[0, 1] = t[1, 0] = mpmath.sqrt(x[0] * y[0])
+        t[1, 2] = t[2, 1] = mpmath.sqrt(x[1] * y[1])
+        return sorted(mpmath.eigsy(t, eigvals_only=True))
+
+
+@pytest.mark.parametrize("k, beta", [(3, 1), (4, 1), (3, 2)])
+def test_closed_form_smallest_eigenvalue_against_mpmath(k, beta):
+    # lambda_min = det T / (lambda_max lambda_mid) keeps relative accuracy
+    # where eigvalsh keeps it only relative to lambda_max: check the ten rows
+    # where the two differ most
+    d2, e2 = _sampled_bidiagonal(3, k, beta, 10**5, RandomStream(77, 10 * k + beta).rng)
+    got = ensembles._small_tridiagonal_eigvals(d2, e2, ensembles._trigonometric_eigvals)
+    dense = ensembles._tridiagonal_eigvals(d2, e2)
+    for i in np.argsort(np.abs(got[:, 0] / dense[:, 0] - 1.0))[-10:]:
+        smallest = _mpmath_eigvals(d2[i], e2[i])[0]
+        assert abs(got[i, 0] / float(smallest) - 1.0) <= 1e-13
+
+
+_CLOSED_FORM_DENSE_ROWS = {
+    "zero_off_diagonal": ((1.0, 2.0, 3.0), (0.0, 1.0)),
+    "entries_near_1e-130": ((1e-130, 2e-130, 3e-130), (1e-130, 2e-130)),
+    "one_entry_near_1e-130": ((1.0, 1e-130, 3.0), (1.0, 2.0)),
+    "entries_near_1e150": ((1e150, 2e150, 3e150), (1e150, 2e150)),
+    # in range, but det T = d_1^2 d_2^2 d_3^2 leaves the normal doubles
+    "det_subnormal": ((1e-110, 2e-110, 3e-110), (1e-110, 2e-110)),
+    "det_overflows": ((1e110, 2e110, 3e110), (1e110, 2e110)),
+    # T is nearly diag(1, 1, 10), r -> 1, and nearly diag(10, 10, 1), r -> -1
+    "r_near_1": ((1.0, 1.0, 10.0), (1e-12, 1e-12)),
+    "r_near_minus_1": ((10.0, 10.0, 1.0), (1e-12, 1e-12)),
+}
+
+
+@pytest.mark.parametrize("d2, e2", _CLOSED_FORM_DENSE_ROWS.values(), ids=_CLOSED_FORM_DENSE_ROWS)
+def test_closed_form_sends_these_rows_to_eigvalsh(d2, e2, monkeypatch):
+    if e2 == (1e-12, 1e-12):
+        # the r rows are what their comment says (without the margin the
+        # closed form keeps them, 6e-11 lambda_max off)
+        centred = _dense_eigvalsh(np.array([d2]), np.array([e2]))[0]
+        centred -= centred.mean()
+        r = np.prod(centred) / (2.0 * (np.sum(centred**2) / 6.0) ** 1.5)
+        assert 1.0 - abs(r) < ensembles._ACOS_MARGIN
+    sampled_d2, sampled_e2 = _sampled_bidiagonal(3, 5, 2, 20000, RandomStream(78, 3).rng)
+    # the crafted row sits in the second block of rows
+    sampled_d2[9000], sampled_e2[9000] = d2, e2
+    calls = _dense_route_rows(monkeypatch)
+    with warnings.catch_warnings():
+        # numpy's eigvalsh warns on nothing here, and neither may the closed form
+        warnings.simplefilter("error")
+        got = ensembles._small_tridiagonal_eigvals(sampled_d2, sampled_e2,
+                                                   ensembles._trigonometric_eigvals)
+    assert calls == [1]
+    dense = _dense_eigvalsh(sampled_d2, sampled_e2)
+    assert _same_bits(got[9000], dense[9000])
+    assert np.all(np.abs(got - dense) <= 1e-13 * dense[:, 2:])

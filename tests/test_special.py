@@ -105,6 +105,18 @@ def test_gamma_ratio_mpmath_values(x, a, want):
     assert _ulps(gamma_ratio(x, a), want) <= _ratio_ulps(a)
 
 
+def test_gamma_ratio_small_x_bound_against_mpmath():
+    # the bound the docstring states below x = 1/2, on its grid
+    rng = np.random.default_rng(0)
+    xs = np.exp(rng.uniform(math.log(1e-5), math.log(0.5), 3000))
+    worst = 0.0
+    with mpmath.workdps(40):
+        for x, a in zip(xs.tolist(), rng.uniform(0.0, 1.0, 3000).tolist()):
+            want = mpmath.gammaprod([mpmath.mpf(x) + mpmath.mpf(a)], [mpmath.mpf(x)])
+            worst = max(worst, float(abs(mpmath.mpf(gamma_ratio(x, a)) / want - 1)))
+    assert worst <= 9 * 2.0**-52
+
+
 def test_gamma_ratio_integer_a_is_the_product():
     assert gamma_ratio(4.0, 2.0) == 20.0
     assert gamma_ratio(0.5, 3.0) == 0.5 * 1.5 * 2.5
